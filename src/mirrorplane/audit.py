@@ -8,9 +8,12 @@ invariant checker and the acceptance suite lean on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
+
+from .codec import decode, encode
 
 CONTROL_PLANE = "control-plane"
 
@@ -46,33 +49,6 @@ class AuditEvent:
     tick_id: int | None = None
     job_id: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "at": self.at,
-            "actor": self.actor,
-            "action": self.action,
-            "target": self.target,
-            "outcome": self.outcome.value,
-            "category": self.category.value,
-            "tick_id": self.tick_id,
-            "job_id": self.job_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditEvent":
-        return cls(
-            seq=data["seq"],
-            at=data["at"],
-            actor=data["actor"],
-            action=data["action"],
-            target=data["target"],
-            outcome=Outcome(data["outcome"]),
-            category=Category(data["category"]),
-            tick_id=data.get("tick_id"),
-            job_id=data.get("job_id"),
-        )
-
     def render(self) -> str:
         tick = f" tick={self.tick_id}" if self.tick_id is not None else ""
         job = f" job={self.job_id}" if self.job_id is not None else ""
@@ -83,36 +59,56 @@ class AuditEvent:
 
 
 class AuditLog:
-    """In-memory append-only event store with gapless sequence numbers."""
+    """In-memory append-only event store with gapless sequence numbers.
 
-    def __init__(self) -> None:
+    The log owns the logical clock (``now``) and the current tick and job
+    (``scope``), so every event is stamped in one place.
+    """
+
+    def __init__(self, now: Callable[[], int]) -> None:
+        self.now = now
         self._events: list[AuditEvent] = []
+        self._tick_id: int | None = None
+        self._job_id: str | None = None
 
-    def emit(
-        self,
-        *,
-        at: int,
-        actor: str,
-        action: str,
-        target: str,
-        outcome: Outcome,
-        category: Category,
-        tick_id: int | None = None,
-        job_id: str | None = None,
-    ) -> AuditEvent:
+    @contextmanager
+    def scope(self, *, tick_id: int | None = None, job_id: str | None = None) -> Iterator[None]:
+        """Stamp every event emitted inside the block with this tick or job."""
+        saved = self._tick_id, self._job_id
+        self._tick_id, self._job_id = tick_id, job_id
+        try:
+            yield
+        finally:
+            self._tick_id, self._job_id = saved
+
+    def emit(self, actor: str, action: str, target: str, outcome: Outcome,
+             category: Category) -> AuditEvent:
         event = AuditEvent(
             seq=len(self._events) + 1,
-            at=at,
+            at=self.now(),
             actor=actor,
             action=action,
             target=target,
             outcome=outcome,
             category=category,
-            tick_id=tick_id,
-            job_id=job_id,
+            tick_id=self._tick_id,
+            job_id=self._job_id,
         )
         self._events.append(event)
         return event
+
+    def mutation(self, action: str, target: str) -> AuditEvent:
+        """A successful control-plane change to directory, cloud or vault state."""
+        return self.emit(CONTROL_PLANE, action, target, Outcome.SUCCESS, Category.MUTATION)
+
+    def decision(self, actor: str, action: str, target: str, allowed: bool) -> AuditEvent:
+        """One evaluated access attempt by ``actor``."""
+        outcome = Outcome.SUCCESS if allowed else Outcome.FAILURE
+        return self.emit(actor, action, target, outcome, Category.DECISION)
+
+    def control(self, action: str, target: str) -> AuditEvent:
+        """The control plane reporting a failure of its own (abort, rejection)."""
+        return self.emit(CONTROL_PLANE, action, target, Outcome.FAILURE, Category.CONTROL)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -163,10 +159,7 @@ class AuditLog:
         return out
 
     def to_dict(self) -> list[dict]:
-        return [ev.to_dict() for ev in self._events]
+        return encode(self._events)
 
-    @classmethod
-    def from_dict(cls, data: list[dict]) -> "AuditLog":
-        log = cls()
-        log._events = [AuditEvent.from_dict(item) for item in data]
-        return log
+    def load_state(self, data: list[dict]) -> None:
+        self._events = decode(list[AuditEvent], data)

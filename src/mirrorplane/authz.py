@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
-from .audit import AuditLog, Category, Outcome
+from .audit import AuditLog
 from .cloud import (
     AccountStatus,
     Cloud,
@@ -22,6 +21,7 @@ from .cloud import (
     sa_principal,
     workspace_principal,
 )
+from .codec import decode, encode
 from .errors import (
     AuthFailure,
     InvalidJobSpec,
@@ -68,9 +68,6 @@ class AccessDecision:
     def render(self) -> str:
         return f"{self.decision.value.upper()} {self.reason.value}"
 
-    def to_dict(self) -> dict:
-        return {"decision": self.decision.value, "reason": self.reason.value}
-
 
 @dataclass
 class Token:
@@ -79,25 +76,6 @@ class Token:
     minted_from: str  # key_id
     issued_at: int
     via_actas: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "token_id": self.token_id,
-            "subject": self.subject,
-            "minted_from": self.minted_from,
-            "issued_at": self.issued_at,
-            "via_actas": self.via_actas,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Token":
-        return cls(
-            token_id=data["token_id"],
-            subject=data["subject"],
-            minted_from=data["minted_from"],
-            issued_at=data["issued_at"],
-            via_actas=data.get("via_actas"),
-        )
 
 
 class TokenStore:
@@ -124,16 +102,11 @@ class TokenStore:
         return [self._tokens[t] for t in sorted(self._tokens)]
 
     def to_dict(self) -> dict:
-        return {"next": self._next, "tokens": [t.to_dict() for t in self.tokens()]}
+        return encode({"next": self._next, "tokens": self.tokens()})
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TokenStore":
-        store = cls()
-        store._next = data["next"]
-        for item in data["tokens"]:
-            token = Token.from_dict(item)
-            store._tokens[token.token_id] = token
-        return store
+    def load_state(self, data: dict) -> None:
+        self._next = data["next"]
+        self._tokens = {t.token_id: t for t in decode(list[Token], data["tokens"])}
 
 
 @dataclass
@@ -141,13 +114,6 @@ class JobResult:
     job_id: str
     subject: str
     results: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "subject": self.subject,
-            "results": [dict(r) for r in self.results],
-        }
 
     def render(self) -> str:
         lines = [f"{self.job_id} as {self.subject}"]
@@ -164,58 +130,39 @@ class AuthzEngine:
         vault: Vault,
         tokens: TokenStore,
         audit: AuditLog,
-        now: Callable[[], int],
     ) -> None:
         self.cloud = cloud
         self.vault = vault
         self.tokens = tokens
         self._audit = audit
-        self._now = now
         self._next_job = 1
 
     # -- authentication --------------------------------------------------
 
-    def authenticate(self, caller: str, account_email: str, job_id: str | None = None) -> Token:
+    def authenticate(self, caller: str, account_email: str) -> Token:
         """Mint a token by reading the caller's own vault key.
 
         The vault's owner gate does the heavy lifting: any non-owner caller is
         denied there, which is the impersonation threat path.
         """
-        now = self._now()
 
         def fail(exc: Exception) -> Exception:
-            self._audit.emit(
-                at=now,
-                actor=caller,
-                action="authn.token",
-                target=account_email,
-                outcome=Outcome.FAILURE,
-                category=Category.DECISION,
-                job_id=job_id,
-            )
+            self._audit.decision(caller, "authn.token", account_email, allowed=False)
             return exc
 
         try:
-            key = self.vault.read_key(account_email, caller, job_id=job_id)
+            key = self.vault.read_key(account_email, caller)
         except PermissionDenied as exc:
             raise fail(PermissionDenied(str(exc))) from None
         except NoActiveKey as exc:
             raise fail(AuthFailure(str(exc))) from None
         if not self._account_is_active(account_email):
             raise fail(AuthFailure(f"account {account_email!r} is not active"))
-        token = self.tokens.mint(account_email, key.key_id, now, via_actas=None)
-        self._audit.emit(
-            at=now,
-            actor=caller,
-            action="authn.token",
-            target=account_email,
-            outcome=Outcome.SUCCESS,
-            category=Category.DECISION,
-            job_id=job_id,
-        )
+        token = self.tokens.mint(account_email, key.key_id, self._audit.now(), via_actas=None)
+        self._audit.decision(caller, "authn.token", account_email, allowed=True)
         return token
 
-    def impersonate(self, workspace_identity: str, account_email: str, job_id: str | None = None) -> Token:
+    def impersonate(self, workspace_identity: str, account_email: str) -> Token:
         """Mint a token through an ActAs grant.
 
         Humans only ever hold ActAs on their own mirror, so every
@@ -223,18 +170,9 @@ class AuthzEngine:
         """
         identity = workspace_identity.removeprefix(WORKSPACE_PREFIX)
         principal = workspace_principal(identity)
-        now = self._now()
 
         def fail(exc: Exception) -> Exception:
-            self._audit.emit(
-                at=now,
-                actor=principal,
-                action="authn.impersonate",
-                target=account_email,
-                outcome=Outcome.FAILURE,
-                category=Category.DECISION,
-                job_id=job_id,
-            )
+            self._audit.decision(principal, "authn.impersonate", account_email, allowed=False)
             return exc
 
         if not self.cloud.has_account(account_email):
@@ -250,16 +188,8 @@ class AuthzEngine:
         key = self.vault.active_version(account_email)
         if key is None:
             raise fail(AuthFailure(f"no active key for {account_email!r}"))
-        token = self.tokens.mint(account_email, key.key_id, now, via_actas=identity)
-        self._audit.emit(
-            at=now,
-            actor=principal,
-            action="authn.impersonate",
-            target=account_email,
-            outcome=Outcome.SUCCESS,
-            category=Category.DECISION,
-            job_id=job_id,
-        )
+        token = self.tokens.mint(account_email, key.key_id, self._audit.now(), via_actas=identity)
+        self._audit.decision(principal, "authn.impersonate", account_email, allowed=True)
         return token
 
     def _account_is_active(self, email: str) -> bool:
@@ -279,13 +209,7 @@ class AuthzEngine:
             return DecisionReason.INVALID_TOKEN
         return None
 
-    def authorize(
-        self,
-        token: Token | str,
-        bucket_id: str,
-        action: AccessAction,
-        job_id: str | None = None,
-    ) -> AccessDecision:
+    def authorize(self, token: Token | str, bucket_id: str, action: AccessAction) -> AccessDecision:
         """Decide one (token, bucket, action) triple and audit it.
 
         Owners read and write their bucket; reader-group members read only.
@@ -308,30 +232,29 @@ class AuthzEngine:
             return self._decide(
                 str(token), bucket.id, action,
                 AccessDecision(Decision.DENY, DecisionReason.INVALID_TOKEN),
-                job_id,
             )
 
         bad = self.token_status(resolved)
         if bad is not None:
             return self._decide(
                 resolved.subject, bucket.id, action,
-                AccessDecision(Decision.DENY, bad), job_id,
+                AccessDecision(Decision.DENY, bad),
             )
 
         subject = sa_principal(resolved.subject)
         if self.cloud.has_binding(bucket.id, Role.BUCKET_OWNER, subject):
             return self._decide(
                 resolved.subject, bucket.id, action,
-                AccessDecision(Decision.ALLOW, DecisionReason.OWNER), job_id,
+                AccessDecision(Decision.ALLOW, DecisionReason.OWNER),
             )
         if action is AccessAction.READ and self._in_reader_group(bucket.id, subject):
             return self._decide(
                 resolved.subject, bucket.id, action,
-                AccessDecision(Decision.ALLOW, DecisionReason.READER_GROUP), job_id,
+                AccessDecision(Decision.ALLOW, DecisionReason.READER_GROUP),
             )
         return self._decide(
             resolved.subject, bucket.id, action,
-            AccessDecision(Decision.DENY, DecisionReason.NOT_AUTHORIZED), job_id,
+            AccessDecision(Decision.DENY, DecisionReason.NOT_AUTHORIZED),
         )
 
     def _in_reader_group(self, bucket_id: str, subject: str) -> bool:
@@ -348,22 +271,9 @@ class AuthzEngine:
         return False
 
     def _decide(
-        self,
-        actor: str,
-        bucket_id: str,
-        action: AccessAction,
-        decision: AccessDecision,
-        job_id: str | None,
+        self, actor: str, bucket_id: str, action: AccessAction, decision: AccessDecision
     ) -> AccessDecision:
-        self._audit.emit(
-            at=self._now(),
-            actor=actor,
-            action=f"authorize.{action.value}",
-            target=bucket_id,
-            outcome=Outcome.SUCCESS if decision.allowed else Outcome.FAILURE,
-            category=Category.DECISION,
-            job_id=job_id,
-        )
+        self._audit.decision(actor, f"authorize.{action.value}", bucket_id, decision.allowed)
         return decision
 
     # -- jobs -------------------------------------------------------------
@@ -385,21 +295,22 @@ class AuthzEngine:
             raise InvalidJobSpec("job needs equal, nonempty path and action lists")
         job_id = f"job-{self._next_job:04d}"
         self._next_job += 1
-        if caller.startswith(WORKSPACE_PREFIX):
-            token = self.impersonate(caller, account_email, job_id=job_id)
-        else:
-            token = self.authenticate(caller, account_email, job_id=job_id)
-        result = JobResult(job_id=job_id, subject=token.subject)
-        for bucket_id, action in zip(bucket_paths, actions):
-            entry = {"bucket": bucket_id, "action": action.value}
-            try:
-                decision = self.authorize(token, bucket_id, action, job_id=job_id)
-            except UnknownBucket as exc:
-                entry["error"] = f"UnknownBucket: {exc}"
+        with self._audit.scope(job_id=job_id):
+            if caller.startswith(WORKSPACE_PREFIX):
+                token = self.impersonate(caller, account_email)
             else:
-                entry["decision"] = decision.decision.value
-                entry["reason"] = decision.reason.value
-            result.results.append(entry)
+                token = self.authenticate(caller, account_email)
+            result = JobResult(job_id=job_id, subject=token.subject)
+            for bucket_id, action in zip(bucket_paths, actions):
+                entry = {"bucket": bucket_id, "action": action.value}
+                try:
+                    decision = self.authorize(token, bucket_id, action)
+                except UnknownBucket as exc:
+                    entry["error"] = f"UnknownBucket: {exc}"
+                else:
+                    entry["decision"] = decision.decision.value
+                    entry["reason"] = decision.reason.value
+                result.results.append(entry)
         return result
 
     def to_dict(self) -> dict:

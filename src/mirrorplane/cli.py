@@ -17,13 +17,14 @@ import click
 
 from .authz import AccessAction
 from .cloud import Cloud, MirrorAccount
+from .codec import encode
 from .directory import PrincipalKind
 from .durations import parse_duration
-from .errors import ControlPlaneError, NotFound, ParseError, StateFileMissing
+from .errors import ControlPlaneError, NotFound, ParseError, SidecarAhead, StateFileMissing
 from .reconciler import ReconcileConfig, ShardingMode
 from .scenario import run_script
 from .verify import verify_world
-from .world import World, canonical_json, compact_json
+from .world import World, canonical_json, compact_json, write_atomic
 
 
 class VerificationFailed(ControlPlaneError):
@@ -43,6 +44,8 @@ class Session:
         self._world = world
         self.persist = persist and self.state_path is not None
         self._rewrite_sidecar = False
+        # Audit events in the state file, which the sidecar may not exceed.
+        self._saved_events = len(world.audit) if world is not None else 0
 
     @property
     def audit_path(self) -> Path:
@@ -57,6 +60,7 @@ class Session:
                     f"no state file at {self.state_path}; run 'init' first"
                 )
             self._world = World.load(self.state_path)
+            self._saved_events = len(self._world.audit)
         return self._world
 
     def replace(self, world: World) -> None:
@@ -66,28 +70,36 @@ class Session:
     def commit(self) -> None:
         if not self.persist:
             return
-        self.world.save(self.state_path)
-        self._sync_audit_sidecar()
+        world = self.world
+        written = self._sidecar_events()
+        world.save(self.state_path)
+        self._sync_audit_sidecar(written)
+        self._saved_events = len(world.audit)
 
-    def _sync_audit_sidecar(self) -> None:
+    def _sidecar_events(self) -> int:
+        """Events already in the sidecar, checked before either file is written."""
+        path = self.audit_path
+        if self._rewrite_sidecar or not path.exists():
+            return 0
+        with open(path, encoding="utf-8") as handle:
+            existing = sum(1 for _ in handle)
+        if existing > self._saved_events:
+            raise SidecarAhead(
+                f"{path} holds {existing} audit events but {self.state_path} only "
+                f"{self._saved_events}; restore the matching state file"
+            )
+        return existing
+
+    def _sync_audit_sidecar(self, written: int) -> None:
         """Mirror audit events into the append-only line-delimited sidecar."""
         events = self.world.audit.events()
-        path = self.audit_path
-        existing = 0
-        if path.exists() and not self._rewrite_sidecar:
-            with open(path, encoding="utf-8") as handle:
-                existing = sum(1 for _ in handle)
-        if self._rewrite_sidecar or existing > len(events):
-            path.write_text(
-                "".join(compact_json(e.to_dict()) + "\n" for e in events),
-                encoding="utf-8",
-            )
+        lines = (compact_json(encode(e)) + "\n" for e in events[written:])
+        if self._rewrite_sidecar:
+            write_atomic(self.audit_path, "".join(lines))
             self._rewrite_sidecar = False
-            return
-        if existing < len(events):
-            with open(path, "a", encoding="utf-8") as handle:
-                for event in events[existing:]:
-                    handle.write(compact_json(event.to_dict()) + "\n")
+        elif written < len(events):
+            with open(self.audit_path, "a", encoding="utf-8") as handle:
+                handle.writelines(lines)
 
 
 def _load_config_file(path: str) -> ReconcileConfig:
@@ -114,9 +126,7 @@ def _config_from_mapping(raw: dict) -> ReconcileConfig:
         kwargs["base_project"] = raw["base_project"]
     if "quota_default" in raw:
         kwargs["quota_default"] = int(raw["quota_default"])
-    config = ReconcileConfig(**kwargs)
-    config.validate()
-    return config
+    return ReconcileConfig(**kwargs)
 
 
 @click.group()
@@ -379,7 +389,7 @@ def report_last(session: Session, fmt: str) -> None:
         click.echo("no reconcile report yet")
         return
     if fmt == "json":
-        click.echo(canonical_json(report.to_dict()), nl=False)
+        click.echo(canonical_json(encode(report)), nl=False)
     else:
         click.echo(report.render())
 
@@ -557,7 +567,7 @@ def verify(session: Session, converged: bool, fmt: str) -> None:
     violations = verify_world(session.world, include_convergence=converged)
     if fmt == "json":
         click.echo(
-            canonical_json({"violations": [v.to_dict() for v in violations]}),
+            canonical_json(encode({"violations": violations})),
             nl=False,
         )
     elif not violations:
@@ -619,7 +629,7 @@ def scenario_run(session: Session, script: str, strict: bool,
         click.echo(entry.render())
     if transcript_out is not None:
         Path(transcript_out).write_text(
-            canonical_json({"entries": [e.to_dict() for e in entries]}),
+            canonical_json(encode({"entries": entries})),
             encoding="utf-8",
         )
     failed = [e for e in entries if e.status == "error"]

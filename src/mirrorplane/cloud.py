@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
-from .audit import CONTROL_PLANE, AuditLog, Category, Outcome
+from .audit import AuditLog
+from .codec import decode, encode
 from .errors import (
     AlreadyDisabled,
     DuplicateEmail,
@@ -94,13 +94,6 @@ class RoleBinding:
     role: Role
     principal: str
 
-    def to_dict(self) -> dict:
-        return {"role": self.role.value, "principal": self.principal}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoleBinding":
-        return cls(role=Role(data["role"]), principal=data["principal"])
-
 
 @dataclass
 class ResourceNode:
@@ -108,23 +101,6 @@ class ResourceNode:
     kind: NodeKind
     parent: str | None
     bindings: list[RoleBinding] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind.value,
-            "parent": self.parent,
-            "bindings": [b.to_dict() for b in self.bindings],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResourceNode":
-        return cls(
-            id=data["id"],
-            kind=NodeKind(data["kind"]),
-            parent=data.get("parent"),
-            bindings=[RoleBinding.from_dict(b) for b in data["bindings"]],
-        )
 
 
 @dataclass
@@ -134,44 +110,12 @@ class MirrorAccount:
     project: str
     status: AccountStatus = AccountStatus.ACTIVE
 
-    def to_dict(self) -> dict:
-        return {
-            "email": self.email,
-            "source_principal": self.source_principal,
-            "project": self.project,
-            "status": self.status.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MirrorAccount":
-        return cls(
-            email=data["email"],
-            source_principal=data["source_principal"],
-            project=data["project"],
-            status=AccountStatus(data["status"]),
-        )
-
 
 @dataclass
 class ProjectQuota:
     project: str
     max_service_accounts: int = DEFAULT_QUOTA
     current_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "project": self.project,
-            "max_service_accounts": self.max_service_accounts,
-            "current_count": self.current_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectQuota":
-        return cls(
-            project=data["project"],
-            max_service_accounts=data["max_service_accounts"],
-            current_count=data["current_count"],
-        )
 
 
 def mirror_email(account_name: str, project: str) -> str:
@@ -181,14 +125,8 @@ def mirror_email(account_name: str, project: str) -> str:
 class Cloud:
     """Provider-style mutation API over the resource tree."""
 
-    def __init__(
-        self,
-        audit: AuditLog,
-        now: Callable[[], int],
-        default_quota: int = DEFAULT_QUOTA,
-    ) -> None:
+    def __init__(self, audit: AuditLog, default_quota: int = DEFAULT_QUOTA) -> None:
         self._audit = audit
-        self._now = now
         self.default_quota = default_quota
         self._nodes: dict[str, ResourceNode] = {}
         self._accounts: dict[str, MirrorAccount] = {}
@@ -276,13 +214,7 @@ class Cloud:
 
     # -- mutations ----------------------------------------------------------
 
-    def create_node(
-        self,
-        kind: NodeKind,
-        node_id: str,
-        parent: str | None,
-        tick_id: int | None = None,
-    ) -> ResourceNode:
+    def create_node(self, kind: NodeKind, node_id: str, parent: str | None) -> ResourceNode:
         node_id = self.strip_scheme(node_id)
         if kind is NodeKind.ORGANIZATION:
             if parent is not None:
@@ -305,23 +237,11 @@ class Cloud:
             self._quotas[node_id] = ProjectQuota(
                 project=node_id, max_service_accounts=self.default_quota
             )
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action=f"cloud.create_node.{kind.value}",
-            target=node_id,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-            tick_id=tick_id,
-        )
+        self._audit.mutation(f"cloud.create_node.{kind.value}", node_id)
         return node
 
     def create_service_account(
-        self,
-        project: str,
-        account_name: str,
-        source_principal: str | None = None,
-        tick_id: int | None = None,
+        self, project: str, account_name: str, source_principal: str | None = None
     ) -> str:
         """Create (or re-provision) a service account, returning its email.
 
@@ -356,24 +276,10 @@ class Cloud:
         self._accounts[email] = MirrorAccount(
             email=email, source_principal=source_principal, project=project
         )
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action="cloud.create_service_account",
-            target=email,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-            tick_id=tick_id,
-        )
+        self._audit.mutation("cloud.create_service_account", email)
         return email
 
-    def bind_role(
-        self,
-        node_id: str,
-        role: Role,
-        principal: str,
-        tick_id: int | None = None,
-    ) -> RoleBinding:
+    def bind_role(self, node_id: str, role: Role, principal: str) -> RoleBinding:
         """Attach a binding; re-binding the same (role, principal) is a no-op."""
         node = self.node(node_id)
         if node.kind is not LEGAL_ROLE_NODES[role]:
@@ -384,55 +290,25 @@ class Cloud:
         if binding in node.bindings:
             return binding
         node.bindings.append(binding)
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action=f"cloud.bind_role.{role.value}",
-            target=f"{node_id}:{principal}",
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-            tick_id=tick_id,
-        )
+        self._audit.mutation(f"cloud.bind_role.{role.value}", f"{node_id}:{principal}")
         return binding
 
-    def unbind_role(
-        self,
-        node_id: str,
-        role: Role,
-        principal: str,
-        tick_id: int | None = None,
-    ) -> bool:
+    def unbind_role(self, node_id: str, role: Role, principal: str) -> bool:
         """Detach a binding if present; returns whether anything changed."""
         node = self.node(node_id)
         binding = RoleBinding(role=role, principal=principal)
         if binding not in node.bindings:
             return False
         node.bindings.remove(binding)
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action=f"cloud.unbind_role.{role.value}",
-            target=f"{node_id}:{principal}",
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-            tick_id=tick_id,
-        )
+        self._audit.mutation(f"cloud.unbind_role.{role.value}", f"{node_id}:{principal}")
         return True
 
-    def disable_service_account(self, email: str, tick_id: int | None = None) -> MirrorAccount:
+    def disable_service_account(self, email: str) -> MirrorAccount:
         acct = self.account(email)
         if acct.status is AccountStatus.DISABLED:
             raise AlreadyDisabled(f"{email} is already disabled")
         acct.status = AccountStatus.DISABLED
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action="cloud.disable_service_account",
-            target=email,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-            tick_id=tick_id,
-        )
+        self._audit.mutation("cloud.disable_service_account", email)
         return acct
 
     def set_quota(self, project: str, max_service_accounts: int) -> ProjectQuota:
@@ -444,14 +320,7 @@ class Cloud:
                 f"project {project!r} already holds {quota.current_count} accounts"
             )
         quota.max_service_accounts = max_service_accounts
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action="cloud.set_quota",
-            target=f"{project}:{max_service_accounts}",
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-        )
+        self._audit.mutation("cloud.set_quota", f"{project}:{max_service_accounts}")
         return quota
 
     # -- rendering / serialization ---------------------------------------
@@ -482,23 +351,15 @@ class Cloud:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": [n.to_dict() for n in self.nodes()],
-            "accounts": [a.to_dict() for a in self.accounts()],
-            "quotas": [q.to_dict() for q in self.quotas()],
+        return encode({
+            "nodes": self.nodes(),
+            "accounts": self.accounts(),
+            "quotas": self.quotas(),
             "default_quota": self.default_quota,
-        }
+        })
 
-    @classmethod
-    def from_dict(cls, data: dict, audit: AuditLog, now: Callable[[], int]) -> "Cloud":
-        cloud = cls(audit, now, default_quota=data.get("default_quota", DEFAULT_QUOTA))
-        for item in data["nodes"]:
-            node = ResourceNode.from_dict(item)
-            cloud._nodes[node.id] = node
-        for item in data["accounts"]:
-            acct = MirrorAccount.from_dict(item)
-            cloud._accounts[acct.email] = acct
-        for item in data["quotas"]:
-            quota = ProjectQuota.from_dict(item)
-            cloud._quotas[quota.project] = quota
-        return cloud
+    def load_state(self, data: dict) -> None:
+        self.default_quota = data.get("default_quota", DEFAULT_QUOTA)
+        self._nodes = {n.id: n for n in decode(list[ResourceNode], data["nodes"])}
+        self._accounts = {a.email: a for a in decode(list[MirrorAccount], data["accounts"])}
+        self._quotas = {q.project: q for q in decode(list[ProjectQuota], data["quotas"])}

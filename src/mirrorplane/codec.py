@@ -1,0 +1,121 @@
+"""The one codec between dataclasses and JSON-ready data.
+
+``encode`` turns a value into fresh plain containers: enums become their
+``.value`` and dataclasses become dicts keyed by field name, recursing into
+nested dataclasses, lists and dicts.  ``decode(type, data)`` inverts it for a
+dataclass, an enum, ``list[...]`` or ``X | None``.
+
+Each type's encoder and decoder is generated once, from the field types, the
+way ``dataclasses`` generates ``__init__``: an interpreted per-field loop costs
+about twice as much, and every CLI command decodes the whole world.
+
+A document may omit a field's key only when the field's type admits None (it
+decodes as None) or the field is declared with :func:`optional`.  Any other
+missing key raises ``KeyError``, which ``World.from_dict`` reports as a
+``SchemaError`` at the section.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from enum import Enum
+from typing import Any, Callable
+
+_OPTIONAL = "codec_optional"
+
+_ENCODERS: dict[Any, Callable[[Any], Any]] = {}
+_DECODERS: dict[Any, Callable[[Any], Any]] = {}
+
+
+def optional(default):
+    """A dataclass field whose key may be absent; decoding then yields ``default``."""
+    return dataclasses.field(default=default, metadata={_OPTIONAL: True})
+
+
+def encode(value):
+    return (_ENCODERS.get(type(value)) or encoder(type(value)))(value)
+
+
+def decode(tp, data):
+    return decoder(tp)(data)
+
+
+def encoder(kind) -> Callable[[Any], Any]:
+    fn = _ENCODERS.get(kind)
+    if fn is None:
+        fn = _ENCODERS[kind] = _build_encoder(kind)
+    return fn
+
+
+def decoder(tp) -> Callable[[Any], Any]:
+    fn = _DECODERS.get(tp)
+    if fn is None:
+        fn = _DECODERS[tp] = _build_decoder(tp)
+    return fn
+
+
+def _build_encoder(kind):
+    # Containers look each item's encoder up inline: this runs once per
+    # audit event on every save.
+    get = _ENCODERS.get
+    if kind is list:
+        return lambda value: [(get(type(v)) or encoder(type(v)))(v) for v in value]
+    if kind is dict:
+        return lambda value: {k: (get(type(v)) or encoder(type(v)))(v) for k, v in value.items()}
+    if issubclass(kind, Enum):
+        return lambda value: value.value
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        ns: dict[str, Any] = {}
+        items = ", ".join(
+            f"{f.name!r}: {_expr(hints[f.name], f'o.{f.name}', ns, encoding=True)}"
+            for f in dataclasses.fields(kind)
+        )
+        return eval(f"lambda o: {{{items}}}", ns)
+    return lambda value: value
+
+
+def _build_decoder(tp):
+    if not dataclasses.is_dataclass(tp):
+        ns: dict[str, Any] = {}
+        return eval(f"lambda d: {_expr(tp, 'd', ns, encoding=False)}", ns)
+    hints = typing.get_type_hints(tp)
+    ns = {"cls": tp}
+    args = []
+    for f in dataclasses.fields(tp):
+        if f.metadata.get(_OPTIONAL):
+            ns[f"_default_{f.name}"] = f.default
+            raw = f"d.get({f.name!r}, _default_{f.name})"
+        elif type(None) in typing.get_args(hints[f.name]):
+            raw = f"d.get({f.name!r})"
+        else:
+            raw = f"d[{f.name!r}]"
+        args.append(f"{f.name}={_expr(hints[f.name], raw, ns, encoding=False)}")
+    return eval(f"lambda d: cls({', '.join(args)})", ns)
+
+
+def _expr(tp, var: str, ns: dict, encoding: bool) -> str:
+    """Source of an expression converting ``var``, of type ``tp``, one way."""
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        converted = _expr(inner, "_v", ns, encoding)
+        if converted == "_v":
+            return var
+        return f"(None if (_v := {var}) is None else {converted})"
+    if origin is list:
+        (item,) = typing.get_args(tp)
+        name = f"_x{len(ns)}"
+        converted = _expr(item, name, ns, encoding)
+        return f"list({var})" if converted == name else f"[{converted} for {name} in {var}]"
+    if tp is dict or origin is dict:
+        return f"dict({var})"
+    if isinstance(tp, type) and (issubclass(tp, Enum) or dataclasses.is_dataclass(tp)):
+        if encoding and issubclass(tp, Enum):
+            return f"{var}.value"
+        name = f"_{'encode' if encoding else 'decode'}_{tp.__name__}"
+        ns[name] = encoder(tp) if encoding else (tp if issubclass(tp, Enum) else decoder(tp))
+        return f"{name}({var})"
+    return var

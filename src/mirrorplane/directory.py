@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
-from .audit import CONTROL_PLANE, AuditLog, Category, Outcome
+from .audit import AuditLog
+from .codec import decode, encode, optional
 from .errors import (
     DuplicateName,
     GroupEmpty,
@@ -45,28 +45,7 @@ class PrincipalRecord:
     has_workspace_identity: bool
     hdfs_home: str | None
     created_at: int
-    org_unit: str = "general"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind.value,
-            "has_workspace_identity": self.has_workspace_identity,
-            "hdfs_home": self.hdfs_home,
-            "created_at": self.created_at,
-            "org_unit": self.org_unit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrincipalRecord":
-        return cls(
-            name=data["name"],
-            kind=PrincipalKind(data["kind"]),
-            has_workspace_identity=data["has_workspace_identity"],
-            hdfs_home=data.get("hdfs_home"),
-            created_at=data["created_at"],
-            org_unit=data.get("org_unit", "general"),
-        )
+    org_unit: str = optional("general")
 
 
 @dataclass
@@ -74,20 +53,12 @@ class DirectoryGroup:
     name: str
     members: list[str] = field(default_factory=list)  # insertion-ordered, unique
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "members": list(self.members)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DirectoryGroup":
-        return cls(name=data["name"], members=list(data["members"]))
-
 
 class Directory:
     """Single-writer registry of principals and groups."""
 
-    def __init__(self, audit: AuditLog, now: Callable[[], int]) -> None:
+    def __init__(self, audit: AuditLog) -> None:
         self._audit = audit
-        self._now = now
         self._principals: dict[str, PrincipalRecord] = {}
         self._groups: dict[str, DirectoryGroup] = {}
 
@@ -135,18 +106,11 @@ class Directory:
             kind=kind,
             has_workspace_identity=(kind is PrincipalKind.HUMAN),
             hdfs_home=hdfs_home,
-            created_at=self._now(),
+            created_at=self._audit.now(),
             org_unit=org_unit,
         )
         self._principals[name] = record
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action="directory.add_principal",
-            target=name,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-        )
+        self._audit.mutation("directory.add_principal", name)
         return record
 
     def add_group(self, name: str) -> DirectoryGroup:
@@ -156,14 +120,7 @@ class Directory:
             raise DuplicateName(f"group {name!r} already exists")
         group = DirectoryGroup(name=name)
         self._groups[name] = group
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action="directory.add_group",
-            target=name,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-        )
+        self._audit.mutation("directory.add_group", name)
         return group
 
     def join_group(self, group_name: str, principal: str) -> DirectoryGroup:
@@ -173,14 +130,7 @@ class Directory:
             raise UnknownPrincipal(f"no principal named {principal!r}")
         if principal not in group.members:
             group.members.append(principal)
-            self._audit.emit(
-                at=self._now(),
-                actor=CONTROL_PLANE,
-                action="directory.join_group",
-                target=f"{group_name}:{principal}",
-                outcome=Outcome.SUCCESS,
-                category=Category.MUTATION,
-            )
+            self._audit.mutation("directory.join_group", f"{group_name}:{principal}")
         return group
 
     def leave_group(self, group_name: str, principal: str) -> DirectoryGroup:
@@ -190,14 +140,7 @@ class Directory:
             raise UnknownPrincipal(f"no principal named {principal!r}")
         if principal in group.members:
             group.members.remove(principal)
-            self._audit.emit(
-                at=self._now(),
-                actor=CONTROL_PLANE,
-                action="directory.leave_group",
-                target=f"{group_name}:{principal}",
-                outcome=Outcome.SUCCESS,
-                category=Category.MUTATION,
-            )
+            self._audit.mutation("directory.leave_group", f"{group_name}:{principal}")
         return group
 
     def remove_principal(self, name: str) -> dict:
@@ -214,14 +157,7 @@ class Directory:
                 group.members.remove(name)
                 removed_from.append(group.name)
         del self._principals[name]
-        self._audit.emit(
-            at=self._now(),
-            actor=CONTROL_PLANE,
-            action="directory.remove_principal",
-            target=name,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-        )
+        self._audit.mutation("directory.remove_principal", name)
         return {"principal": name, "removed_from_groups": sorted(removed_from)}
 
     # -- reconciler entry point ------------------------------------------
@@ -242,18 +178,8 @@ class Directory:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "principals": [p.to_dict() for p in self.principals()],
-            "groups": [g.to_dict() for g in self.groups()],
-        }
+        return encode({"principals": self.principals(), "groups": self.groups()})
 
-    @classmethod
-    def from_dict(cls, data: dict, audit: AuditLog, now: Callable[[], int]) -> "Directory":
-        directory = cls(audit, now)
-        for item in data["principals"]:
-            record = PrincipalRecord.from_dict(item)
-            directory._principals[record.name] = record
-        for item in data["groups"]:
-            group = DirectoryGroup.from_dict(item)
-            directory._groups[group.name] = group
-        return directory
+    def load_state(self, data: dict) -> None:
+        self._principals = {p.name: p for p in decode(list[PrincipalRecord], data["principals"])}
+        self._groups = {g.name: g for g in decode(list[DirectoryGroup], data["groups"])}

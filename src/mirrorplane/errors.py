@@ -152,3 +152,8 @@ class SchemaError(ControlPlaneError):
 
 class StateFileMissing(ControlPlaneError):
     pass
+
+
+class SidecarAhead(ControlPlaneError):
+    """The audit sidecar holds more events than the state file, so the state
+    is older than the log; appending to or rewriting the log would lose history."""

@@ -9,10 +9,9 @@ image of the on-premise group under the mirror mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .audit import AuditLog
 from .cloud import Cloud, NodeKind, Role, group_principal, sa_principal
+from .codec import decode, encode
 from .directory import Directory
 from .errors import NoHdfsHome, NoMirror, UnmappablePath
 
@@ -61,42 +60,12 @@ class BucketMapping:
     hdfs_home: str
     bucket_id: str
 
-    def to_dict(self) -> dict:
-        return {
-            "principal": self.principal,
-            "hdfs_home": self.hdfs_home,
-            "bucket_id": self.bucket_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BucketMapping":
-        return cls(
-            principal=data["principal"],
-            hdfs_home=data["hdfs_home"],
-            bucket_id=data["bucket_id"],
-        )
-
 
 @dataclass
 class ReaderGroupPair:
     bucket_id: str
     ldap_group: str
     cloud_group: str
-
-    def to_dict(self) -> dict:
-        return {
-            "bucket_id": self.bucket_id,
-            "ldap_group": self.ldap_group,
-            "cloud_group": self.cloud_group,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReaderGroupPair":
-        return cls(
-            bucket_id=data["bucket_id"],
-            ldap_group=data["ldap_group"],
-            cloud_group=data["cloud_group"],
-        )
 
 
 @dataclass
@@ -108,13 +77,6 @@ class SyncReport:
     @property
     def has_changes(self) -> bool:
         return bool(self.added or self.removed)
-
-    def to_dict(self) -> dict:
-        return {
-            "added": [dict(x) for x in self.added],
-            "removed": [dict(x) for x in self.removed],
-            "skipped": [dict(x) for x in self.skipped],
-        }
 
     def render(self) -> str:
         lines = [
@@ -129,17 +91,9 @@ class SyncReport:
 
 
 class Onboarder:
-    def __init__(
-        self,
-        directory: Directory,
-        cloud: Cloud,
-        audit: AuditLog,
-        now: Callable[[], int],
-    ) -> None:
+    def __init__(self, directory: Directory, cloud: Cloud) -> None:
         self.directory = directory
         self.cloud = cloud
-        self._audit = audit
-        self._now = now
         self._mappings: dict[str, BucketMapping] = {}  # principal -> mapping
         self._pairs: dict[str, ReaderGroupPair] = {}  # bucket_id -> pair
 
@@ -248,25 +202,8 @@ class Onboarder:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "mappings": [m.to_dict() for m in self.mappings()],
-            "pairs": [p.to_dict() for p in self.pairs()],
-        }
+        return encode({"mappings": self.mappings(), "pairs": self.pairs()})
 
-    @classmethod
-    def from_dict(
-        cls,
-        data: dict,
-        directory: Directory,
-        cloud: Cloud,
-        audit: AuditLog,
-        now: Callable[[], int],
-    ) -> "Onboarder":
-        onboarder = cls(directory, cloud, audit, now)
-        for item in data["mappings"]:
-            mapping = BucketMapping.from_dict(item)
-            onboarder._mappings[mapping.principal] = mapping
-        for item in data["pairs"]:
-            pair = ReaderGroupPair.from_dict(item)
-            onboarder._pairs[pair.bucket_id] = pair
-        return onboarder
+    def load_state(self, data: dict) -> None:
+        self._mappings = {m.principal: m for m in decode(list[BucketMapping], data["mappings"])}
+        self._pairs = {p.bucket_id: p for p in decode(list[ReaderGroupPair], data["pairs"])}

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .audit import CONTROL_PLANE, AuditLog, Category, Outcome
+from .audit import AuditLog
 from .cloud import Cloud, NodeKind, Role, mirror_email, workspace_principal
+from .codec import decode, encode
 from .directory import Directory, PrincipalRecord
 from .durations import DAY, MINUTE, format_duration
 from .errors import (
@@ -45,6 +46,9 @@ class ReconcileConfig:
     base_project: str = DEFAULT_BASE_PROJECT
     quota_default: int = 100
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.rotation_age <= self.tick_interval:
             raise ValueError("rotation_age must exceed tick_interval")
@@ -52,29 +56,6 @@ class ReconcileConfig:
             raise ValueError("retiring_grace must be positive")
         if self.quota_default < 1:
             raise ValueError("quota_default must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "tick_interval": self.tick_interval,
-            "rotation_age": self.rotation_age,
-            "retiring_grace": self.retiring_grace,
-            "sharding_mode": self.sharding_mode.value,
-            "base_project": self.base_project,
-            "quota_default": self.quota_default,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReconcileConfig":
-        config = cls(
-            tick_interval=data["tick_interval"],
-            rotation_age=data["rotation_age"],
-            retiring_grace=data["retiring_grace"],
-            sharding_mode=ShardingMode(data["sharding_mode"]),
-            base_project=data["base_project"],
-            quota_default=data["quota_default"],
-        )
-        config.validate()
-        return config
 
     def describe(self) -> str:
         return (
@@ -108,31 +89,6 @@ class ReconcileReport:
             or self.actas_granted
             or self.decommissioned
             or self.errors
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "tick_id": self.tick_id,
-            "at": self.at,
-            "created": list(self.created),
-            "rotated": list(self.rotated),
-            "actas_granted": list(self.actas_granted),
-            "decommissioned": list(self.decommissioned),
-            "rejected": [dict(r) for r in self.rejected],
-            "errors": [dict(e) for e in self.errors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReconcileReport":
-        return cls(
-            tick_id=data["tick_id"],
-            at=data["at"],
-            created=list(data["created"]),
-            rotated=list(data["rotated"]),
-            actas_granted=list(data["actas_granted"]),
-            decommissioned=list(data["decommissioned"]),
-            rejected=[dict(r) for r in data["rejected"]],
-            errors=[dict(e) for e in data["errors"]],
         )
 
     def render(self) -> str:
@@ -178,7 +134,6 @@ class Reconciler:
         secrets: SecretSource,
         config: ReconcileConfig,
         audit: AuditLog,
-        now: Callable[[], int],
     ) -> None:
         self.directory = directory
         self.cloud = cloud
@@ -186,7 +141,6 @@ class Reconciler:
         self.secrets = secrets
         self.config = config
         self._audit = audit
-        self._now = now
         self.tick_count = 0
         self.last_report: ReconcileReport | None = None
 
@@ -198,14 +152,14 @@ class Reconciler:
             raise ControlPlaneError("cloud has no organization node")
         return org.id
 
-    def _ensure_folder(self, folder: str, tick_id: int | None) -> str:
+    def _ensure_folder(self, folder: str) -> str:
         if not self.cloud.has_node(folder):
-            self.cloud.create_node(NodeKind.FOLDER, folder, self._ensure_org(), tick_id)
+            self.cloud.create_node(NodeKind.FOLDER, folder, self._ensure_org())
         return folder
 
-    def _ensure_project(self, project: str, folder: str, tick_id: int | None) -> str:
+    def _ensure_project(self, project: str, folder: str) -> str:
         if not self.cloud.has_node(project):
-            self.cloud.create_node(NodeKind.PROJECT, project, folder, tick_id)
+            self.cloud.create_node(NodeKind.PROJECT, project, folder)
         return project
 
     def placement_base(self, record: PrincipalRecord) -> tuple[str, str]:
@@ -215,18 +169,18 @@ class Reconciler:
         ou = record.org_unit
         return f"{ou.upper()}IAM", f"{ou}-service-accounts-project"
 
-    def select_project(self, record: PrincipalRecord, tick_id: int | None = None) -> str:
+    def select_project(self, record: PrincipalRecord) -> str:
         """Pick the project for a new mirror, sharding past full projects.
 
         Projects are created on demand as ``base``, ``base-2``, ``base-3``...
         under one folder, so placement never fails on quota.
         """
         folder, base = self.placement_base(record)
-        self._ensure_folder(folder, tick_id)
+        self._ensure_folder(folder)
         suffix = 1
         while True:
             project = base if suffix == 1 else f"{base}-{suffix}"
-            self._ensure_project(project, folder, tick_id)
+            self._ensure_project(project, folder)
             quota = self.cloud.quota(project)
             if quota.current_count < quota.max_service_accounts:
                 return project
@@ -234,74 +188,53 @@ class Reconciler:
 
     # -- decommission --------------------------------------------------------
 
-    def decommission(self, principal: str, tick_id: int | None = None) -> dict:
+    def decommission(self, principal: str) -> dict:
         """Disable the principal's mirror, kill its keys, strip ActAs grants."""
         email = self.cloud.active_mirror_for(principal)
         if email is None:
             raise NoMirror(f"{principal!r} has no active mirror account")
-        self.cloud.disable_service_account(email, tick_id)
-        revoked = self.vault.revoke_all(email, tick_id) if self.vault.has_entry(email) else 0
+        self.cloud.disable_service_account(email)
+        revoked = self.vault.revoke_all(email) if self.vault.has_entry(email) else 0
         removed = []
         node = self.cloud.node(email)
         for binding in [b for b in node.bindings if b.role is Role.ACT_AS]:
-            self.cloud.unbind_role(email, Role.ACT_AS, binding.principal, tick_id)
+            self.cloud.unbind_role(email, Role.ACT_AS, binding.principal)
             removed.append(binding.principal)
         return {"account": email, "keys_invalidated": revoked, "actas_removed": removed}
 
     # -- the tick --------------------------------------------------------------
 
     def reconcile_tick(self) -> ReconcileReport:
-        now = self._now()
-        tick_id = self.tick_count + 1
-        report = ReconcileReport(tick_id=tick_id, at=now)
+        report = ReconcileReport(tick_id=self.tick_count + 1, at=self._audit.now())
+        with self._audit.scope(tick_id=report.tick_id):
+            self._tick(report)
+        self.tick_count = report.tick_id
+        self.last_report = report
+        return report
 
+    def _tick(self, report: ReconcileReport) -> None:
         # (1) Source-group verification gates the whole tick.
         try:
             members = self.directory.verify_source_group()
         except (GroupMissing, GroupEmpty) as exc:
-            self._audit.emit(
-                at=now,
-                actor=CONTROL_PLANE,
-                action="reconcile.abort",
-                target="mirror-account-users",
-                outcome=Outcome.FAILURE,
-                category=Category.CONTROL,
-                tick_id=tick_id,
-            )
+            self._audit.control("reconcile.abort", "mirror-account-users")
             report.errors.append({"error": exc.name, "message": str(exc)})
-            self._finish(report)
-            return report
+            return
 
         # (2) Converge each member, isolating per-account failures.
         for member in members:
             try:
-                self._converge_member(member, now, tick_id, report)
+                self._converge_member(member, report)
             except UnderscoreNotSupported:
                 report.rejected.append(
                     {"principal": member, "reason": "UnderscoreNotSupported"}
                 )
-                self._audit.emit(
-                    at=now,
-                    actor=CONTROL_PLANE,
-                    action="reconcile.reject_underscore",
-                    target=member,
-                    outcome=Outcome.FAILURE,
-                    category=Category.CONTROL,
-                    tick_id=tick_id,
-                )
+                self._audit.control("reconcile.reject_underscore", member)
             except ControlPlaneError as exc:
                 report.errors.append(
                     {"principal": member, "error": exc.name, "message": str(exc)}
                 )
-                self._audit.emit(
-                    at=now,
-                    actor=CONTROL_PLANE,
-                    action="reconcile.error",
-                    target=member,
-                    outcome=Outcome.FAILURE,
-                    category=Category.CONTROL,
-                    tick_id=tick_id,
-                )
+                self._audit.control("reconcile.error", member)
 
         # (3) Decommission mirrors whose source left the group or the directory.
         current = set(members)
@@ -310,14 +243,11 @@ class Reconciler:
                 continue
             src = acct.source_principal
             if src not in current or not self.directory.has_principal(src):
-                self.decommission(src, tick_id)
+                self.decommission(src)
                 report.decommissioned.append(acct.email)
 
         # (4) Phase out retiring keys whose grace window elapsed.
-        self.vault.expire_versions(now, self.config.retiring_grace, tick_id)
-
-        self._finish(report)
-        return report
+        self.vault.expire_versions(report.at, self.config.retiring_grace)
 
     def run_ticks(self, count: int, advance: Callable[[int], int]) -> list[ReconcileReport]:
         """Simulate the scheduler: tick, then advance one interval, repeated."""
@@ -327,50 +257,51 @@ class Reconciler:
             advance(self.config.tick_interval)
         return reports
 
-    def _finish(self, report: ReconcileReport) -> None:
-        self.tick_count = report.tick_id
-        self.last_report = report
+    def _converge_member(self, member: str, report: ReconcileReport) -> None:
+        """Ensure the member's mirror, an active key, and (for humans) ActAs.
 
-    def _converge_member(
-        self, member: str, now: int, tick_id: int, report: ReconcileReport
-    ) -> None:
+        Each step checks current state rather than what this tick created, so
+        a tick that failed halfway is finished by the next one.
+        """
         record = self.directory.principal(member)
         email = self.cloud.active_mirror_for(member)
+        created = email is None
 
-        if email is None:
+        if created:
             # Underscore check happens before any placement side effects.
             derive_mirror_name(member, self.config.base_project)
-            project = self.select_project(record, tick_id)
-            email = derive_mirror_name(member, project)
-            self.cloud.create_service_account(
-                project, f"{member}-mirror", source_principal=member, tick_id=tick_id
+            project = self.select_project(record)
+            email = self.cloud.create_service_account(
+                project, f"{member}-mirror", source_principal=member
             )
-            self.vault.store_key(email, member, self.secrets.next_secret(), tick_id)
-            report.created.append(email)
+
+        # A new mirror always gets a fresh key; an existing one is re-keyed
+        # when it has none active (a store that failed on an earlier tick).
+        # A mirror counts as created only once it holds a key, so a failed
+        # store shows as this member's error and the repair as a rotation.
+        active = None if created else self.vault.active_version(email)
+        if active is None:
+            self.vault.store_key(email, member, self.secrets.next_secret())
+            (report.created if created else report.rotated).append(email)
 
         # Alg-style unconditional ActAs grant for humans; the binding is
         # idempotent and only a genuinely new grant is reported.
         if record.has_workspace_identity:
             principal = workspace_principal(member)
             newly = not self.cloud.has_binding(email, Role.ACT_AS, principal)
-            self.cloud.bind_role(email, Role.ACT_AS, principal, tick_id)
+            self.cloud.bind_role(email, Role.ACT_AS, principal)
             if newly:
                 report.actas_granted.append(email)
 
-        active = self.vault.active_version(email)
-        if active is not None and now - active.created_at >= self.config.rotation_age:
-            self.vault.store_key(email, member, self.secrets.next_secret(), tick_id)
+        if active is not None and report.at - active.created_at >= self.config.rotation_age:
+            self.vault.store_key(email, member, self.secrets.next_secret())
             report.rotated.append(email)
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "tick_count": self.tick_count,
-            "last_report": self.last_report.to_dict() if self.last_report else None,
-        }
+        return encode({"tick_count": self.tick_count, "last_report": self.last_report})
 
     def load_state(self, data: dict) -> None:
         self.tick_count = data["tick_count"]
-        last = data.get("last_report")
-        self.last_report = ReconcileReport.from_dict(last) if last else None
+        self.last_report = decode(ReconcileReport | None, data.get("last_report"))

@@ -24,14 +24,6 @@ class TranscriptEntry:
     status: str  # "ok" | "error"
     output: str
 
-    def to_dict(self) -> dict:
-        return {
-            "line_no": self.line_no,
-            "command": self.command,
-            "status": self.status,
-            "output": self.output,
-        }
-
     def render(self) -> str:
         head = f"L{self.line_no} [{self.status}] {self.command}"
         if not self.output:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .audit import CONTROL_PLANE, AuditLog, Category, Outcome
+from .audit import AuditLog
+from .codec import decode, encode
 from .errors import (
     NoActiveKey,
     OwnerMismatch,
@@ -34,6 +35,7 @@ class KeyState(str, Enum):
     INVALID = "invalid"
 
 
+@dataclass
 class SecretSource:
     """Deterministic stream of 128-bit hex secrets.
 
@@ -41,21 +43,13 @@ class SecretSource:
     (seed, script) runs produce byte-identical state.
     """
 
-    def __init__(self, seed: int, counter: int = 0) -> None:
-        self.seed = seed
-        self.counter = counter
+    seed: int
+    counter: int = 0
 
     def next_secret(self) -> str:
         digest = hashlib.sha256(f"{self.seed}:{self.counter}".encode()).hexdigest()
         self.counter += 1
         return digest[:SECRET_HEX_CHARS]
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "counter": self.counter}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SecretSource":
-        return cls(seed=data["seed"], counter=data["counter"])
 
 
 @dataclass
@@ -74,29 +68,6 @@ class KeyVersion:
         self.state = new_state
         self.state_history.append(new_state.value)
 
-    def to_dict(self, reveal_secrets: bool = True) -> dict:
-        return {
-            "key_id": self.key_id,
-            "account_email": self.account_email,
-            "secret": self.secret if reveal_secrets else REDACTED,
-            "state": self.state.value,
-            "created_at": self.created_at,
-            "retiring_since": self.retiring_since,
-            "state_history": list(self.state_history),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KeyVersion":
-        return cls(
-            key_id=data["key_id"],
-            account_email=data["account_email"],
-            secret=data["secret"],
-            state=KeyState(data["state"]),
-            created_at=data["created_at"],
-            retiring_since=data.get("retiring_since"),
-            state_history=list(data["state_history"]),
-        )
-
 
 @dataclass
 class VaultEntry:
@@ -111,35 +82,12 @@ class VaultEntry:
                 return version
         return None
 
-    def to_dict(self, reveal_secrets: bool = True) -> dict:
-        return {
-            "account_email": self.account_email,
-            "owner_principal": self.owner_principal,
-            "versions": [v.to_dict(reveal_secrets) for v in self.versions],
-            "next_serial": self.next_serial,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VaultEntry":
-        return cls(
-            account_email=data["account_email"],
-            owner_principal=data["owner_principal"],
-            versions=[KeyVersion.from_dict(v) for v in data["versions"]],
-            next_serial=data["next_serial"],
-        )
-
 
 class Vault:
     """Secret store with owner-only read and control-plane-only write."""
 
-    def __init__(
-        self,
-        audit: AuditLog,
-        now: Callable[[], int],
-        owner_exists: Callable[[str], bool],
-    ) -> None:
+    def __init__(self, audit: AuditLog, owner_exists: Callable[[str], bool]) -> None:
         self._audit = audit
-        self._now = now
         self._owner_exists = owner_exists
         self._entries: dict[str, VaultEntry] = {}
 
@@ -173,20 +121,14 @@ class Vault:
 
     # -- control-plane writes ---------------------------------------------
 
-    def store_key(
-        self,
-        account_email: str,
-        owner: str,
-        secret: str,
-        tick_id: int | None = None,
-    ) -> KeyVersion:
+    def store_key(self, account_email: str, owner: str, secret: str) -> KeyVersion:
         """Prepend a fresh active version; the prior active one starts retiring.
 
         Only the reconciler calls this; there is no user-facing write path.
         """
         if not self._owner_exists(owner):
             raise UnknownOwner(f"no principal named {owner!r}")
-        now = self._now()
+        now = self._audit.now()
         entry = self._entries.get(account_email)
         if entry is None:
             entry = VaultEntry(account_email=account_email, owner_principal=owner)
@@ -211,20 +153,10 @@ class Vault:
         )
         entry.next_serial += 1
         entry.versions.insert(0, version)
-        self._audit.emit(
-            at=now,
-            actor=CONTROL_PLANE,
-            action="vault.store_key",
-            target=version.key_id,
-            outcome=Outcome.SUCCESS,
-            category=Category.MUTATION,
-            tick_id=tick_id,
-        )
+        self._audit.mutation("vault.store_key", version.key_id)
         return version
 
-    def expire_versions(
-        self, now: int, grace: int, tick_id: int | None = None
-    ) -> list[tuple[str, str, str]]:
+    def expire_versions(self, now: int, grace: int) -> list[tuple[str, str, str]]:
         """Invalidate every retiring version whose grace window has elapsed.
 
         The boundary is inclusive: a version retiring since t expires at
@@ -240,18 +172,10 @@ class Vault:
                         transitions.append(
                             (version.key_id, KeyState.RETIRING.value, KeyState.INVALID.value)
                         )
-                        self._audit.emit(
-                            at=now,
-                            actor=CONTROL_PLANE,
-                            action="vault.expire_key",
-                            target=version.key_id,
-                            outcome=Outcome.SUCCESS,
-                            category=Category.MUTATION,
-                            tick_id=tick_id,
-                        )
+                        self._audit.mutation("vault.expire_key", version.key_id)
         return transitions
 
-    def revoke_all(self, account_email: str, tick_id: int | None = None) -> int:
+    def revoke_all(self, account_email: str) -> int:
         """Invalidate every non-invalid version of the entry (decommission)."""
         entry = self.entry(account_email)
         count = 0
@@ -259,35 +183,16 @@ class Vault:
             if version.state is not KeyState.INVALID:
                 version._transition(KeyState.INVALID)
                 count += 1
-                self._audit.emit(
-                    at=self._now(),
-                    actor=CONTROL_PLANE,
-                    action="vault.revoke_key",
-                    target=version.key_id,
-                    outcome=Outcome.SUCCESS,
-                    category=Category.MUTATION,
-                    tick_id=tick_id,
-                )
+                self._audit.mutation("vault.revoke_key", version.key_id)
         return count
 
     # -- principal-facing access -------------------------------------------
 
-    def read_key(
-        self, account_email: str, caller: str, job_id: str | None = None
-    ) -> KeyVersion:
+    def read_key(self, account_email: str, caller: str) -> KeyVersion:
         """Owner-gated read of the newest active version.  Reads are audited."""
-        now = self._now()
 
         def denied(exc_type, message: str):
-            self._audit.emit(
-                at=now,
-                actor=caller,
-                action="vault.read_key",
-                target=account_email,
-                outcome=Outcome.FAILURE,
-                category=Category.DECISION,
-                job_id=job_id,
-            )
+            self._audit.decision(caller, "vault.read_key", account_email, allowed=False)
             return exc_type(message)
 
         entry = self._entries.get(account_email)
@@ -301,27 +206,12 @@ class Vault:
         version = entry.active_version()
         if version is None:
             raise denied(NoActiveKey, f"no active key for {account_email!r}")
-        self._audit.emit(
-            at=now,
-            actor=caller,
-            action="vault.read_key",
-            target=version.key_id,
-            outcome=Outcome.SUCCESS,
-            category=Category.DECISION,
-            job_id=job_id,
-        )
+        self._audit.decision(caller, "vault.read_key", version.key_id, allowed=True)
         return version
 
     def modify_key(self, account_email: str, caller: str) -> None:
         """Unconditionally denied, for everyone including the owner."""
-        self._audit.emit(
-            at=self._now(),
-            actor=caller,
-            action="vault.modify_key",
-            target=account_email,
-            outcome=Outcome.FAILURE,
-            category=Category.DECISION,
-        )
+        self._audit.decision(caller, "vault.modify_key", account_email, allowed=False)
         raise PermissionDenied(
             f"key files are immutable; {caller!r} may not modify {account_email!r}"
         )
@@ -329,18 +219,12 @@ class Vault:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self, reveal_secrets: bool = True) -> dict:
-        return {"entries": [e.to_dict(reveal_secrets) for e in self.entries()]}
+        data = encode({"entries": self.entries()})
+        if not reveal_secrets:
+            for entry in data["entries"]:
+                for version in entry["versions"]:
+                    version["secret"] = REDACTED
+        return data
 
-    @classmethod
-    def from_dict(
-        cls,
-        data: dict,
-        audit: AuditLog,
-        now: Callable[[], int],
-        owner_exists: Callable[[str], bool],
-    ) -> "Vault":
-        vault = cls(audit, now, owner_exists)
-        for item in data["entries"]:
-            entry = VaultEntry.from_dict(item)
-            vault._entries[entry.account_email] = entry
-        return vault
+    def load_state(self, data: dict) -> None:
+        self._entries = {e.account_email: e for e in decode(list[VaultEntry], data["entries"])}

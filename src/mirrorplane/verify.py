@@ -32,9 +32,6 @@ class Violation:
     def render(self) -> str:
         return f"{self.rule} [{self.target}]: {self.message}"
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "target": self.target, "message": self.message}
-
 
 def verify_world(world: World, include_convergence: bool = False) -> list[Violation]:
     out: list[Violation] = []
@@ -323,6 +320,12 @@ def _check_convergence(world: World, out: list[Violation]) -> None:
             f"(missing={sorted(expected_actas - found_actas)}, "
             f"extra={sorted(found_actas - expected_actas)})",
         ))
+
+    for email in active.values():
+        if world.vault.active_version(email) is None:
+            out.append(Violation(
+                "KeylessMirror", email, "active mirror has no active vault key",
+            ))
 
     for entry in world.vault.entries():
         version = entry.active_version()

@@ -8,12 +8,14 @@ is byte-identical.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
-from typing import Callable
 
 from .audit import AuditLog
 from .authz import AuthzEngine, TokenStore
 from .cloud import Cloud, NodeKind
+from .codec import decode, encode
 from .directory import Directory
 from .errors import SchemaError
 from .onboarder import Onboarder
@@ -47,26 +49,49 @@ def compact_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so a reader sees the old or the new file, never a part.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``.  That survives the process
+    dying mid-write; there is no fsync, so it does not survive power loss.
+    """
+    path = Path(path)
+    handle = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
+    )
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(handle.name, path)
+    except BaseException:
+        os.unlink(handle.name)
+        raise
+
+
 class World:
     """Aggregate root; all module objects share its audit log and clock."""
 
-    def __init__(self, seed: int = 0, config: ReconcileConfig | None = None) -> None:
+    def __init__(
+        self,
+        seed: int = 0,
+        config: ReconcileConfig | None = None,
+        secrets: SecretSource | None = None,
+    ) -> None:
         self.clock = 0
         self.config = config or ReconcileConfig()
         self.config.validate()
-        self.audit = AuditLog()
-        self.secrets = SecretSource(seed)
-        now: Callable[[], int] = lambda: self.clock
-        self.directory = Directory(self.audit, now)
-        self.cloud = Cloud(self.audit, now, default_quota=self.config.quota_default)
-        self.vault = Vault(self.audit, now, self.directory.has_principal)
+        self.audit = AuditLog(lambda: self.clock)
+        self.secrets = secrets or SecretSource(seed)
+        self.directory = Directory(self.audit)
+        self.cloud = Cloud(self.audit, default_quota=self.config.quota_default)
+        self.vault = Vault(self.audit, self.directory.has_principal)
         self.reconciler = Reconciler(
-            self.directory, self.cloud, self.vault, self.secrets,
-            self.config, self.audit, now,
+            self.directory, self.cloud, self.vault, self.secrets, self.config, self.audit,
         )
         self.tokens = TokenStore()
-        self.onboarder = Onboarder(self.directory, self.cloud, self.audit, now)
-        self.authz = AuthzEngine(self.cloud, self.vault, self.tokens, self.audit, now)
+        self.onboarder = Onboarder(self.directory, self.cloud)
+        self.authz = AuthzEngine(self.cloud, self.vault, self.tokens, self.audit)
 
     @classmethod
     def new(cls, seed: int = 0, config: ReconcileConfig | None = None) -> "World":
@@ -76,9 +101,6 @@ class World:
         return world
 
     # -- clock -------------------------------------------------------------
-
-    def now(self) -> int:
-        return self.clock
 
     def advance(self, minutes: int) -> int:
         if minutes < 0:
@@ -92,8 +114,8 @@ class World:
         return {
             "schema_version": SCHEMA_VERSION,
             "clock": self.clock,
-            "config": self.config.to_dict(),
-            "secrets": self.secrets.to_dict(),
+            "config": encode(self.config),
+            "secrets": encode(self.secrets),
             "directory": self.directory.to_dict(),
             "cloud": self.cloud.to_dict(),
             "vault": self.vault.to_dict(reveal_secrets),
@@ -128,40 +150,25 @@ class World:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"malformed section (at /{section}): {exc}") from exc
 
-        config = load("config", ReconcileConfig.from_dict)
-        world = cls(seed=0, config=config)
+        config = load("config", lambda d: decode(ReconcileConfig, d))
+        world = cls(config=config, secrets=load("secrets", lambda d: decode(SecretSource, d)))
         if not isinstance(data["clock"], int) or data["clock"] < 0:
             raise SchemaError("clock must be a non-negative integer (at /clock)")
         world.clock = data["clock"]
-        now = world.now
-        world.secrets = load("secrets", SecretSource.from_dict)
-        world.audit = load("audit", AuditLog.from_dict)
-        world.directory = load(
-            "directory", lambda d: Directory.from_dict(d, world.audit, now)
-        )
-        world.cloud = load("cloud", lambda d: Cloud.from_dict(d, world.audit, now))
-        world.vault = load(
-            "vault",
-            lambda d: Vault.from_dict(d, world.audit, now, world.directory.has_principal),
-        )
-        world.tokens = load("tokens", TokenStore.from_dict)
-        world.onboarder = load(
-            "onboarder",
-            lambda d: Onboarder.from_dict(d, world.directory, world.cloud, world.audit, now),
-        )
-        world.reconciler = Reconciler(
-            world.directory, world.cloud, world.vault, world.secrets,
-            world.config, world.audit, now,
-        )
+        load("audit", world.audit.load_state)
+        load("directory", world.directory.load_state)
+        load("cloud", world.cloud.load_state)
+        load("vault", world.vault.load_state)
+        load("tokens", world.tokens.load_state)
+        load("onboarder", world.onboarder.load_state)
         load("reconcile", world.reconciler.load_state)
-        world.authz = AuthzEngine(world.cloud, world.vault, world.tokens, world.audit, now)
         load("authz", world.authz.load_state)
         return world
 
     # -- files ---------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.export_text(reveal_secrets=True), encoding="utf-8")
+        write_atomic(path, self.export_text(reveal_secrets=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "World":
