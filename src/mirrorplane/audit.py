@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .codec import decode, encode
+from .errors import ControlPlaneError
 
 CONTROL_PLANE = "control-plane"
 
@@ -56,6 +57,13 @@ class AuditEvent:
             f"#{self.seq} t={self.at}{tick}{job} {self.outcome.value:7s} "
             f"{self.action} actor={self.actor} target={self.target}"
         )
+
+
+@dataclass
+class Attempt:
+    """An open access attempt; a success may name a narrower target."""
+
+    target: str
 
 
 class AuditLog:
@@ -106,6 +114,22 @@ class AuditLog:
         outcome = Outcome.SUCCESS if allowed else Outcome.FAILURE
         return self.emit(actor, action, target, outcome, Category.DECISION)
 
+    @contextmanager
+    def attempt(self, actor: str, action: str, target: str) -> Iterator[Attempt]:
+        """Audit the access attempt the block makes as one decision.
+
+        A ``ControlPlaneError`` escaping the block is a denial on ``target``;
+        otherwise the attempt succeeded, on the target the block left in
+        ``attempt.target``.
+        """
+        attempt = Attempt(target)
+        try:
+            yield attempt
+        except ControlPlaneError:
+            self.decision(actor, action, target, allowed=False)
+            raise
+        self.decision(actor, action, attempt.target, allowed=True)
+
     def control(self, action: str, target: str) -> AuditEvent:
         """The control plane reporting a failure of its own (abort, rejection)."""
         return self.emit(CONTROL_PLANE, action, target, Outcome.FAILURE, Category.CONTROL)
@@ -120,7 +144,7 @@ class AuditLog:
         return tuple(self._events)
 
     def tail(self, n: int = 10) -> list[AuditEvent]:
-        return self._events[-n:]
+        return self._events[-n:] if n > 0 else []
 
     def query(
         self,

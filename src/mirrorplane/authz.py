@@ -58,12 +58,15 @@ ALLOW_REASONS = {DecisionReason.OWNER, DecisionReason.READER_GROUP}
 
 @dataclass(frozen=True)
 class AccessDecision:
-    decision: Decision
     reason: DecisionReason
 
     @property
     def allowed(self) -> bool:
-        return self.decision is Decision.ALLOW
+        return self.reason in ALLOW_REASONS
+
+    @property
+    def decision(self) -> Decision:
+        return Decision.ALLOW if self.allowed else Decision.DENY
 
     def render(self) -> str:
         return f"{self.decision.value.upper()} {self.reason.value}"
@@ -145,22 +148,14 @@ class AuthzEngine:
         The vault's owner gate does the heavy lifting: any non-owner caller is
         denied there, which is the impersonation threat path.
         """
-
-        def fail(exc: Exception) -> Exception:
-            self._audit.decision(caller, "authn.token", account_email, allowed=False)
-            return exc
-
-        try:
-            key = self.vault.read_key(account_email, caller)
-        except PermissionDenied as exc:
-            raise fail(PermissionDenied(str(exc))) from None
-        except NoActiveKey as exc:
-            raise fail(AuthFailure(str(exc))) from None
-        if not self._account_is_active(account_email):
-            raise fail(AuthFailure(f"account {account_email!r} is not active"))
-        token = self.tokens.mint(account_email, key.key_id, self._audit.now(), via_actas=None)
-        self._audit.decision(caller, "authn.token", account_email, allowed=True)
-        return token
+        with self._audit.attempt(caller, "authn.token", account_email):
+            try:
+                key = self.vault.read_key(account_email, caller)
+            except NoActiveKey as exc:
+                raise AuthFailure(str(exc)) from None
+            if not self._account_is_active(account_email):
+                raise AuthFailure(f"account {account_email!r} is not active")
+            return self.tokens.mint(account_email, key.key_id, self._audit.now(), via_actas=None)
 
     def impersonate(self, workspace_identity: str, account_email: str) -> Token:
         """Mint a token through an ActAs grant.
@@ -170,27 +165,27 @@ class AuthzEngine:
         """
         identity = workspace_identity.removeprefix(WORKSPACE_PREFIX)
         principal = workspace_principal(identity)
-
-        def fail(exc: Exception) -> Exception:
-            self._audit.decision(principal, "authn.impersonate", account_email, allowed=False)
-            return exc
-
-        if not self.cloud.has_account(account_email):
-            raise fail(PermissionDenied(f"no ActAs grant on {account_email!r}"))
-        if self.cloud.account(account_email).status is AccountStatus.DISABLED:
-            raise fail(AuthFailure(f"account {account_email!r} is disabled"))
-        if not self.cloud.has_binding(account_email, Role.ACT_AS, principal):
-            raise fail(
-                PermissionDenied(
+        with self._audit.attempt(principal, "authn.impersonate", account_email):
+            if not self.cloud.has_account(account_email):
+                raise PermissionDenied(f"no ActAs grant on {account_email!r}")
+            if self.cloud.account(account_email).status is AccountStatus.DISABLED:
+                raise AuthFailure(f"account {account_email!r} is disabled")
+            if not self.cloud.has_binding(account_email, Role.ACT_AS, principal):
+                raise PermissionDenied(
                     f"{principal!r} has no ActAs grant on {account_email!r}"
                 )
+            key = self.vault.active_version(account_email)
+            if key is None:
+                raise AuthFailure(f"no active key for {account_email!r}")
+            return self.tokens.mint(
+                account_email, key.key_id, self._audit.now(), via_actas=identity
             )
-        key = self.vault.active_version(account_email)
-        if key is None:
-            raise fail(AuthFailure(f"no active key for {account_email!r}"))
-        token = self.tokens.mint(account_email, key.key_id, self._audit.now(), via_actas=identity)
-        self._audit.decision(principal, "authn.impersonate", account_email, allowed=True)
-        return token
+
+    def token_for(self, caller: str, account_email: str) -> Token:
+        """Impersonate for a ``workspace:`` caller, else authenticate."""
+        if caller.startswith(WORKSPACE_PREFIX):
+            return self.impersonate(caller, account_email)
+        return self.authenticate(caller, account_email)
 
     def _account_is_active(self, email: str) -> bool:
         return (
@@ -223,39 +218,28 @@ class AuthzEngine:
         if bucket.kind is not NodeKind.BUCKET:
             raise UnknownBucket(f"{bucket_id!r} is not a bucket")
 
-        if isinstance(token, str):
-            resolved = self.tokens.get(token)
-        else:
-            resolved = token
-        if resolved is None:
-            # Unknown token id: deniable without a subject to attribute.
-            return self._decide(
-                str(token), bucket.id, action,
-                AccessDecision(Decision.DENY, DecisionReason.INVALID_TOKEN),
-            )
+        resolved = self.tokens.get(token) if isinstance(token, str) else token
+        decision = AccessDecision(self._match_rule(resolved, bucket.id, action))
+        # An unknown token id has no subject, so the id itself is the actor.
+        actor = str(token) if resolved is None else resolved.subject
+        self._audit.decision(actor, f"authorize.{action.value}", bucket.id, decision.allowed)
+        return decision
 
-        bad = self.token_status(resolved)
+    def _match_rule(
+        self, token: Token | None, bucket_id: str, action: AccessAction
+    ) -> DecisionReason:
+        """The first rule, in order, that decides ``token``'s access to the bucket."""
+        if token is None:
+            return DecisionReason.INVALID_TOKEN
+        bad = self.token_status(token)
         if bad is not None:
-            return self._decide(
-                resolved.subject, bucket.id, action,
-                AccessDecision(Decision.DENY, bad),
-            )
-
-        subject = sa_principal(resolved.subject)
-        if self.cloud.has_binding(bucket.id, Role.BUCKET_OWNER, subject):
-            return self._decide(
-                resolved.subject, bucket.id, action,
-                AccessDecision(Decision.ALLOW, DecisionReason.OWNER),
-            )
-        if action is AccessAction.READ and self._in_reader_group(bucket.id, subject):
-            return self._decide(
-                resolved.subject, bucket.id, action,
-                AccessDecision(Decision.ALLOW, DecisionReason.READER_GROUP),
-            )
-        return self._decide(
-            resolved.subject, bucket.id, action,
-            AccessDecision(Decision.DENY, DecisionReason.NOT_AUTHORIZED),
-        )
+            return bad
+        subject = sa_principal(token.subject)
+        if self.cloud.has_binding(bucket_id, Role.BUCKET_OWNER, subject):
+            return DecisionReason.OWNER
+        if action is AccessAction.READ and self._in_reader_group(bucket_id, subject):
+            return DecisionReason.READER_GROUP
+        return DecisionReason.NOT_AUTHORIZED
 
     def _in_reader_group(self, bucket_id: str, subject: str) -> bool:
         for binding in self.cloud.node(bucket_id).bindings:
@@ -269,12 +253,6 @@ class AuthzEngine:
             if self.cloud.has_binding(group_id, Role.GROUP_MEMBER, subject):
                 return True
         return False
-
-    def _decide(
-        self, actor: str, bucket_id: str, action: AccessAction, decision: AccessDecision
-    ) -> AccessDecision:
-        self._audit.decision(actor, f"authorize.{action.value}", bucket_id, decision.allowed)
-        return decision
 
     # -- jobs -------------------------------------------------------------
 
@@ -296,10 +274,7 @@ class AuthzEngine:
         job_id = f"job-{self._next_job:04d}"
         self._next_job += 1
         with self._audit.scope(job_id=job_id):
-            if caller.startswith(WORKSPACE_PREFIX):
-                token = self.impersonate(caller, account_email)
-            else:
-                token = self.authenticate(caller, account_email)
+            token = self.token_for(caller, account_email)
             result = JobResult(job_id=job_id, subject=token.subject)
             for bucket_id, action in zip(bucket_paths, actions):
                 entry = {"bucket": bucket_id, "action": action.value}

@@ -9,7 +9,6 @@ violations.
 from __future__ import annotations
 
 import io
-import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -20,8 +19,8 @@ from .cloud import Cloud, MirrorAccount
 from .codec import encode
 from .directory import PrincipalKind
 from .durations import parse_duration
-from .errors import ControlPlaneError, NotFound, ParseError, SidecarAhead, StateFileMissing
-from .reconciler import ReconcileConfig, ShardingMode
+from .errors import ControlPlaneError, NotFound, SidecarAhead, StateFileMissing
+from .reconciler import ShardingMode, parse_config
 from .scenario import run_script
 from .verify import verify_world
 from .world import World, canonical_json, compact_json, write_atomic
@@ -102,33 +101,6 @@ class Session:
                 handle.writelines(lines)
 
 
-def _load_config_file(path: str) -> ReconcileConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return _config_from_mapping(raw)
-
-
-def _config_from_mapping(raw: dict) -> ReconcileConfig:
-    known = {
-        "tick_interval", "rotation_age", "retiring_grace",
-        "sharding_mode", "base_project", "quota_default",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ParseError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("tick_interval", "rotation_age", "retiring_grace"):
-        if key in raw:
-            value = raw[key]
-            kwargs[key] = value if isinstance(value, int) else parse_duration(value)
-    if "sharding_mode" in raw:
-        kwargs["sharding_mode"] = ShardingMode(raw["sharding_mode"])
-    if "base_project" in raw:
-        kwargs["base_project"] = raw["base_project"]
-    if "quota_default" in raw:
-        kwargs["quota_default"] = int(raw["quota_default"])
-    return ReconcileConfig(**kwargs)
-
-
 @click.group()
 @click.option(
     "--state",
@@ -146,7 +118,7 @@ def cli(ctx: click.Context, state_path: str) -> None:
 
 @cli.command()
 @click.option("--seed", default=0, show_default=True, help="Seed for secret generation.")
-@click.option("--config", "config_file", type=click.Path(exists=True), default=None,
+@click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON config file (durations accept 15m/2h/7d forms).")
 @click.option("--sharding-mode", type=click.Choice([m.value for m in ShardingMode]),
               default=None, help="Override sharding mode.")
@@ -155,22 +127,18 @@ def cli(ctx: click.Context, state_path: str) -> None:
               help="Override per-project service-account limit.")
 @click.option("--force", is_flag=True, help="Overwrite an existing state file.")
 @click.pass_obj
-def init(session: Session, seed: int, config_file: str | None,
-         sharding_mode: str | None, base_project: str | None,
-         quota_default: int | None, force: bool) -> None:
+def init(session: Session, seed: int, config_file: str | None, force: bool,
+         **overrides) -> None:
     """Create a fresh world (organization root only)."""
     if session.state_path is not None and session.state_path.exists() and not force:
         raise ControlPlaneError(
             f"state file {session.state_path} exists; use --force to overwrite"
         )
-    config = _load_config_file(config_file) if config_file else ReconcileConfig()
-    if sharding_mode is not None:
-        config.sharding_mode = ShardingMode(sharding_mode)
-    if base_project is not None:
-        config.base_project = base_project
-    if quota_default is not None:
-        config.quota_default = quota_default
-    config.validate()
+    # The override options are named after the config keys they set.
+    config = parse_config(
+        Path(config_file).read_bytes() if config_file else "{}",
+        {key: value for key, value in overrides.items() if value is not None},
+    )
     session.replace(World.new(seed=seed, config=config))
     session.commit()
     click.echo(f"initialized world (seed={seed}, {config.describe()})")
@@ -466,12 +434,8 @@ def authz_group() -> None:
 @click.argument("email")
 @click.pass_obj
 def authz_token(session: Session, caller: str, email: str) -> None:
-    engine = session.world.authz
     try:
-        if caller.startswith("workspace:"):
-            token = engine.impersonate(caller, email)
-        else:
-            token = engine.authenticate(caller, email)
+        token = session.world.authz.token_for(caller, email)
     finally:
         session.commit()
     via = f" via_actas={token.via_actas}" if token.via_actas else ""
@@ -523,13 +487,12 @@ def audit_group() -> None:
 
 
 @audit_group.command("tail")
-@click.option("-n", "count", type=int, default=10, show_default=True)
+@click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True)
 @click.pass_obj
 def audit_tail(session: Session, count: int) -> None:
     events = session.world.audit.tail(count)
-    if not events:
+    if count and not events:
         click.echo("(audit log empty)")
-        return
     for event in events:
         click.echo(event.render())
 

@@ -21,6 +21,7 @@ from .audit import AuditLog
 from .codec import decode, encode
 from .errors import (
     AlreadyDisabled,
+    ControlPlaneError,
     DuplicateEmail,
     DuplicateId,
     IllegalParent,
@@ -153,6 +154,12 @@ class Cloud:
                 return node
         return None
 
+    def organization_id(self) -> str:
+        org = self.organization()
+        if org is None:
+            raise ControlPlaneError("cloud has no organization node")
+        return org.id
+
     def children(self, node_id: str) -> list[ResourceNode]:
         return sorted(
             (n for n in self._nodes.values() if n.parent == node_id),
@@ -240,9 +247,15 @@ class Cloud:
         self._audit.mutation(f"cloud.create_node.{kind.value}", node_id)
         return node
 
-    def create_service_account(
-        self, project: str, account_name: str, source_principal: str | None = None
-    ) -> str:
+    def ensure_project(self, folder: str, project: str) -> str:
+        """Create the folder under the organization and the project in it, where missing."""
+        if not self.has_node(folder):
+            self.create_node(NodeKind.FOLDER, folder, self.organization_id())
+        if not self.has_node(project):
+            self.create_node(NodeKind.PROJECT, project, folder)
+        return project
+
+    def create_service_account(self, project: str, account_name: str, source_principal: str) -> str:
         """Create (or re-provision) a service account, returning its email.
 
         A Disabled record holding the derived email is replaced by a fresh
@@ -257,8 +270,6 @@ class Cloud:
         existing = self._accounts.get(email)
         if existing is not None and existing.status is AccountStatus.ACTIVE:
             raise DuplicateEmail(f"{email} already exists")
-        if source_principal is None:
-            source_principal = account_name.removesuffix("-mirror")
         if existing is None:
             quota = self._quotas[project]
             if quota.current_count >= quota.max_service_accounts:

@@ -99,9 +99,6 @@ class Onboarder:
 
     # -- queries ---------------------------------------------------------
 
-    def mapping_for(self, principal: str) -> BucketMapping | None:
-        return self._mappings.get(principal)
-
     def mappings(self) -> list[BucketMapping]:
         return [self._mappings[p] for p in sorted(self._mappings)]
 
@@ -112,16 +109,6 @@ class Onboarder:
         return [self._pairs[b] for b in sorted(self._pairs)]
 
     # -- provisioning ------------------------------------------------------
-
-    def _ensure_storage_project(self) -> str:
-        if not self.cloud.has_node(SHARED_STORAGE_PROJECT):
-            org = self.cloud.organization()
-            if not self.cloud.has_node(DATASTORE_FOLDER):
-                self.cloud.create_node(NodeKind.FOLDER, DATASTORE_FOLDER, org.id)
-            self.cloud.create_node(
-                NodeKind.PROJECT, SHARED_STORAGE_PROJECT, DATASTORE_FOLDER
-            )
-        return SHARED_STORAGE_PROJECT
 
     def provision_bucket(self, principal: str) -> BucketMapping:
         """Create the principal's bucket, owner binding, and reader pair.
@@ -142,7 +129,7 @@ class Onboarder:
             raise NoHdfsHome(f"{principal!r} has no HDFS home to map")
 
         bucket_id = bucket_id_for(principal)
-        project = self._ensure_storage_project()
+        project = self.cloud.ensure_project(DATASTORE_FOLDER, SHARED_STORAGE_PROJECT)
         self.cloud.create_node(NodeKind.BUCKET, bucket_id, project)
         self.cloud.bind_role(bucket_id, Role.BUCKET_OWNER, sa_principal(email))
 
@@ -150,8 +137,7 @@ class Onboarder:
         cloud_group = cloud_reader_group(bucket_id)
         if not self.directory.has_group(ldap_group):
             self.directory.add_group(ldap_group)
-        org = self.cloud.organization()
-        self.cloud.create_node(NodeKind.CLOUD_GROUP, cloud_group, org.id)
+        self.cloud.create_node(NodeKind.CLOUD_GROUP, cloud_group, self.cloud.organization_id())
         self.cloud.bind_role(bucket_id, Role.BUCKET_READER, group_principal(cloud_group))
 
         mapping = BucketMapping(

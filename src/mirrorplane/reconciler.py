@@ -10,26 +10,29 @@ property tests assert.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .audit import AuditLog
-from .cloud import Cloud, NodeKind, Role, mirror_email, workspace_principal
+from .cloud import Cloud, Role, mirror_email, workspace_principal
 from .codec import decode, encode
 from .directory import Directory, PrincipalRecord
-from .durations import DAY, MINUTE, format_duration
+from .durations import DAY, MINUTE, format_duration, parse_duration
 from .errors import (
     ControlPlaneError,
     GroupEmpty,
     GroupMissing,
     NoMirror,
+    ParseError,
     UnderscoreNotSupported,
 )
 from .vault import SecretSource, Vault
 
 IAM_FOLDER = "IAMSTORE"
 DEFAULT_BASE_PROJECT = "service-accounts-project"
+DURATION_KEYS = ("tick_interval", "rotation_age", "retiring_grace")
 
 
 class ShardingMode(str, Enum):
@@ -58,14 +61,37 @@ class ReconcileConfig:
             raise ValueError("quota_default must be positive")
 
     def describe(self) -> str:
-        return (
-            f"tick_interval={format_duration(self.tick_interval)} "
-            f"rotation_age={format_duration(self.rotation_age)} "
-            f"retiring_grace={format_duration(self.retiring_grace)} "
-            f"sharding_mode={self.sharding_mode.value} "
-            f"base_project={self.base_project} "
-            f"quota_default={self.quota_default}"
+        return " ".join(
+            f"{key}={format_duration(value) if key in DURATION_KEYS else value}"
+            for key, value in encode(self).items()
         )
+
+
+def parse_config(document: str | bytes, overrides: dict) -> ReconcileConfig:
+    """The defaults, overlaid with a JSON object's keys and then with ``overrides``.
+
+    Durations may be written as ``15m``/``36h``/``7d`` or as minutes; every
+    other value must have its default's JSON type.  Any bad document, key or
+    value raises ParseError.
+    """
+    data = encode(ReconcileConfig())
+    try:
+        raw = {**json.loads(document), **overrides}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"config is not a JSON object: {exc}") from None
+    unknown = set(raw) - set(data)
+    if unknown:
+        raise ParseError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if key in DURATION_KEYS:
+            value = parse_duration(value)
+        elif type(value) is not type(data[key]):
+            raise ParseError(f"config key {key!r} must be a {type(data[key]).__name__}")
+        data[key] = value
+    try:
+        return decode(ReconcileConfig, data)
+    except ValueError as exc:
+        raise ParseError(f"bad config: {exc}") from None
 
 
 @dataclass
@@ -146,22 +172,6 @@ class Reconciler:
 
     # -- placement ---------------------------------------------------------
 
-    def _ensure_org(self) -> str:
-        org = self.cloud.organization()
-        if org is None:
-            raise ControlPlaneError("cloud has no organization node")
-        return org.id
-
-    def _ensure_folder(self, folder: str) -> str:
-        if not self.cloud.has_node(folder):
-            self.cloud.create_node(NodeKind.FOLDER, folder, self._ensure_org())
-        return folder
-
-    def _ensure_project(self, project: str, folder: str) -> str:
-        if not self.cloud.has_node(project):
-            self.cloud.create_node(NodeKind.PROJECT, project, folder)
-        return project
-
     def placement_base(self, record: PrincipalRecord) -> tuple[str, str]:
         """(folder, base project id) the record's mirror belongs under."""
         if self.config.sharding_mode is ShardingMode.SINGLE_PROJECT:
@@ -176,11 +186,10 @@ class Reconciler:
         under one folder, so placement never fails on quota.
         """
         folder, base = self.placement_base(record)
-        self._ensure_folder(folder)
         suffix = 1
         while True:
             project = base if suffix == 1 else f"{base}-{suffix}"
-            self._ensure_project(project, folder)
+            self.cloud.ensure_project(folder, project)
             quota = self.cloud.quota(project)
             if quota.current_count < quota.max_service_accounts:
                 return project

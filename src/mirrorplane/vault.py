@@ -190,31 +190,26 @@ class Vault:
 
     def read_key(self, account_email: str, caller: str) -> KeyVersion:
         """Owner-gated read of the newest active version.  Reads are audited."""
-
-        def denied(exc_type, message: str):
-            self._audit.decision(caller, "vault.read_key", account_email, allowed=False)
-            return exc_type(message)
-
-        entry = self._entries.get(account_email)
-        if entry is None:
-            raise denied(NoActiveKey, f"no vault entry for {account_email!r}")
-        if caller != entry.owner_principal:
-            raise denied(
-                PermissionDenied,
-                f"{caller!r} does not own the key file for {account_email!r}",
-            )
-        version = entry.active_version()
-        if version is None:
-            raise denied(NoActiveKey, f"no active key for {account_email!r}")
-        self._audit.decision(caller, "vault.read_key", version.key_id, allowed=True)
+        with self._audit.attempt(caller, "vault.read_key", account_email) as attempt:
+            entry = self._entries.get(account_email)
+            if entry is None:
+                raise NoActiveKey(f"no vault entry for {account_email!r}")
+            if caller != entry.owner_principal:
+                raise PermissionDenied(
+                    f"{caller!r} does not own the key file for {account_email!r}"
+                )
+            version = entry.active_version()
+            if version is None:
+                raise NoActiveKey(f"no active key for {account_email!r}")
+            attempt.target = version.key_id
         return version
 
     def modify_key(self, account_email: str, caller: str) -> None:
         """Unconditionally denied, for everyone including the owner."""
-        self._audit.decision(caller, "vault.modify_key", account_email, allowed=False)
-        raise PermissionDenied(
-            f"key files are immutable; {caller!r} may not modify {account_email!r}"
-        )
+        with self._audit.attempt(caller, "vault.modify_key", account_email):
+            raise PermissionDenied(
+                f"key files are immutable; {caller!r} may not modify {account_email!r}"
+            )
 
     # -- serialization -------------------------------------------------------
 

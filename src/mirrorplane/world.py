@@ -80,7 +80,6 @@ class World:
     ) -> None:
         self.clock = 0
         self.config = config or ReconcileConfig()
-        self.config.validate()
         self.audit = AuditLog(lambda: self.clock)
         self.secrets = secrets or SecretSource(seed)
         self.directory = Directory(self.audit)

@@ -4,6 +4,7 @@ from mirrorplane import AccessAction, Decision, DecisionReason, PrincipalKind
 from mirrorplane.audit import Category
 from mirrorplane.errors import (
     AuthFailure,
+    ControlPlaneError,
     InvalidJobSpec,
     PermissionDenied,
     UnknownBucket,
@@ -227,3 +228,64 @@ def test_every_decision_is_audited(provisioned):
     new = provisioned.audit.events()[before:]
     assert all(e.category is Category.DECISION for e in new)
     assert len(new) == 5  # denied vault read + authn fail + vault read + authn + authorize
+
+
+def events_of(world, attempt):
+    """(actor, action, target, outcome) of every event ``attempt()`` emits."""
+    before = len(world.audit)
+    try:
+        attempt()
+    except ControlPlaneError:
+        pass
+    return [
+        (e.actor, e.action, e.target, e.outcome.value)
+        for e in world.audit.events()[before:]
+    ]
+
+
+def test_authenticate_non_owner_audits_read_then_token_failure(converged):
+    events = events_of(converged, lambda: converged.authz.authenticate("helen", POSTS_MIRROR))
+    assert events == [
+        ("helen", "vault.read_key", POSTS_MIRROR, "failure"),
+        ("helen", "authn.token", POSTS_MIRROR, "failure"),
+    ]
+
+
+def test_authenticate_without_active_key_audits_both_failures(converged):
+    converged.reconciler.decommission("posts-analyze")
+    events = events_of(
+        converged, lambda: converged.authz.authenticate("posts-analyze", POSTS_MIRROR)
+    )
+    assert events == [
+        ("posts-analyze", "vault.read_key", POSTS_MIRROR, "failure"),
+        ("posts-analyze", "authn.token", POSTS_MIRROR, "failure"),
+    ]
+
+
+def test_authenticate_success_audits_key_id_then_token(converged):
+    key_id = converged.vault.active_version(POSTS_MIRROR).key_id
+    events = events_of(
+        converged, lambda: converged.authz.authenticate("posts-analyze", POSTS_MIRROR)
+    )
+    assert events == [
+        ("posts-analyze", "vault.read_key", key_id, "success"),
+        ("posts-analyze", "authn.token", POSTS_MIRROR, "success"),
+    ]
+
+
+def test_foreign_actas_audits_one_impersonate_failure(converged):
+    events = events_of(converged, lambda: converged.authz.impersonate("helen", POSTS_MIRROR))
+    assert events == [("workspace:helen", "authn.impersonate", POSTS_MIRROR, "failure")]
+
+
+def test_unknown_token_is_the_actor_and_unknown_bucket_is_silent(provisioned):
+    events = events_of(
+        provisioned,
+        lambda: provisioned.authz.authorize("tok-999999", POSTS_BUCKET, AccessAction.WRITE),
+    )
+    assert events == [("tok-999999", "authorize.write", POSTS_BUCKET, "failure")]
+    token = provisioned.authz.authenticate("posts-analyze", POSTS_MIRROR)
+    events = events_of(
+        provisioned, lambda: provisioned.authz.authorize(token, "gs://nope", AccessAction.READ)
+    )
+    assert events == []

@@ -271,3 +271,57 @@ def test_run_script_strict_stops_after_failure():
     entries = run_script(text, lambda argv: dispatch(session, argv), strict=True)
     assert [e.status for e in entries] == ["error"]
     assert not session.world.directory.has_group("mirror-account-users")
+
+
+@pytest.mark.parametrize(
+    "document",
+    ['{"sharding_mode": "bogus"}', '{"rotation_age": "5m"}', "not json",
+     '{"quota_default": "many"}'],
+)
+def test_bad_config_file_is_a_parse_error(tmp_path, monkeypatch, capsys, document):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(document, encoding="utf-8")
+    assert run("init", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert "error: ParseError" in err and "Traceback" not in err
+    assert not (tmp_path / "world.json").exists()
+
+
+def test_bad_config_flag_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("init", "--quota-default", "0") == 1
+    err = capsys.readouterr().err
+    assert "error: ParseError" in err and "Traceback" not in err
+    assert not (tmp_path / "world.json").exists()
+
+
+def test_audit_tail_count_of_zero_prints_nothing(statefile, capsys):
+    world = World.load(statefile)
+    assert len(world.audit) > 0 and world.audit.tail(0) == []
+    capsys.readouterr()
+    assert run("audit", "tail", "-n", "0") == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_audit_tail_rejects_a_negative_count(statefile, capsys):
+    capsys.readouterr()
+    assert run("audit", "tail", "-n", "-1") == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_onboarding_without_an_organization_is_a_command_error(statefile, tmp_path, capsys):
+    run("dir", "add-group", "mirror-account-users")
+    run("dir", "add-user", "helen", "--kind", "human",
+        "--hdfs-home", "/dc1/cluster1/user/helen")
+    run("dir", "join", "mirror-account-users", "helen")
+    run("reconcile", "--once")
+    snapshot = tmp_path / "snapshot.json"
+    assert run("state", "export", "--reveal-secrets", "-o", str(snapshot)) == 0
+    data = json.loads(snapshot.read_text(encoding="utf-8"))
+    data["cloud"]["nodes"] = [n for n in data["cloud"]["nodes"] if n["kind"] != "organization"]
+    snapshot.write_text(json.dumps(data), encoding="utf-8")
+    assert run("state", "import", str(snapshot)) == 0
+    capsys.readouterr()
+    assert run("onboard", "bucket", "helen") == 1
+    assert "error: ControlPlaneError: cloud has no organization node" in capsys.readouterr().err
