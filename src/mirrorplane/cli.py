@@ -8,6 +8,7 @@ violations.
 
 from __future__ import annotations
 
+import functools
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -37,11 +38,9 @@ class Session:
         self,
         state_path: str | Path | None = None,
         world: World | None = None,
-        persist: bool = True,
     ) -> None:
         self.state_path = Path(state_path) if state_path is not None else None
         self._world = world
-        self.persist = persist and self.state_path is not None
         self._rewrite_sidecar = False
         # Audit events in the state file, which the sidecar may not exceed.
         self._saved_events = len(world.audit) if world is not None else 0
@@ -67,29 +66,29 @@ class Session:
         self._rewrite_sidecar = True
 
     def commit(self) -> None:
-        if not self.persist:
+        if self.state_path is None:
             return
         world = self.world
-        written = self._sidecar_events()
+        written, size = self._sidecar_events()
         world.save(self.state_path)
-        self._sync_audit_sidecar(written)
+        self._sync_audit_sidecar(written, size)
         self._saved_events = len(world.audit)
 
-    def _sidecar_events(self) -> int:
-        """Events already in the sidecar, checked before either file is written."""
+    def _sidecar_events(self) -> tuple[int, int]:
+        """Whole lines in the sidecar and their bytes, checked before either file is written."""
         path = self.audit_path
         if self._rewrite_sidecar or not path.exists():
-            return 0
-        with open(path, encoding="utf-8") as handle:
-            existing = sum(1 for _ in handle)
+            return 0, 0
+        data = path.read_bytes()
+        existing = data.count(b"\n")
         if existing > self._saved_events:
             raise SidecarAhead(
                 f"{path} holds {existing} audit events but {self.state_path} only "
                 f"{self._saved_events}; restore the matching state file"
             )
-        return existing
+        return existing, data.rfind(b"\n") + 1
 
-    def _sync_audit_sidecar(self, written: int) -> None:
+    def _sync_audit_sidecar(self, written: int, size: int) -> None:
         """Mirror audit events into the append-only line-delimited sidecar."""
         events = self.world.audit.events()
         lines = (compact_json(encode(e)) + "\n" for e in events[written:])
@@ -98,7 +97,28 @@ class Session:
             self._rewrite_sidecar = False
         elif written < len(events):
             with open(self.audit_path, "a", encoding="utf-8") as handle:
+                handle.truncate(size)  # drops a torn last line left by a crash mid-append
                 handle.writelines(lines)
+
+
+def writes(command):
+    """Run a write command's body on the world, save the world even if it fails, print its text.
+
+    A failed command's partial changes and audit events persist as they do
+    inside ``scenario run``; a missing state file fails before any save.
+    """
+
+    @functools.wraps(command)
+    def run(session: Session, **params) -> None:
+        world = session.world
+        try:
+            text = command(world, **params)
+        finally:
+            session.commit()
+        if text:
+            click.echo(text)
+
+    return click.pass_obj(run)
 
 
 @click.group()
@@ -156,14 +176,11 @@ def dir_group() -> None:
 @click.option("--kind", type=click.Choice([k.value for k in PrincipalKind]), required=True)
 @click.option("--hdfs-home", default=None)
 @click.option("--org-unit", default="general", show_default=True)
-@click.pass_obj
-def dir_add_user(session: Session, name: str, kind: str, hdfs_home: str | None,
-                 org_unit: str) -> None:
-    record = session.world.directory.add_principal(
-        name, PrincipalKind(kind), hdfs_home, org_unit
-    )
-    session.commit()
-    click.echo(
+@writes
+def dir_add_user(world: World, name: str, kind: str, hdfs_home: str | None,
+                 org_unit: str) -> str:
+    record = world.directory.add_principal(name, PrincipalKind(kind), hdfs_home, org_unit)
+    return (
         f"added {record.kind.value} principal {record.name} "
         f"(workspace={str(record.has_workspace_identity).lower()})"
     )
@@ -171,31 +188,27 @@ def dir_add_user(session: Session, name: str, kind: str, hdfs_home: str | None,
 
 @dir_group.command("add-group")
 @click.argument("name")
-@click.pass_obj
-def dir_add_group(session: Session, name: str) -> None:
-    group = session.world.directory.add_group(name)
-    session.commit()
-    click.echo(f"added group {group.name}")
+@writes
+def dir_add_group(world: World, name: str) -> str:
+    return f"added group {world.directory.add_group(name).name}"
 
 
 @dir_group.command("join")
 @click.argument("group")
 @click.argument("principal")
-@click.pass_obj
-def dir_join(session: Session, group: str, principal: str) -> None:
-    result = session.world.directory.join_group(group, principal)
-    session.commit()
-    click.echo(f"{result.name}: {len(result.members)} member(s)")
+@writes
+def dir_join(world: World, group: str, principal: str) -> str:
+    result = world.directory.join_group(group, principal)
+    return f"{result.name}: {len(result.members)} member(s)"
 
 
 @dir_group.command("remove")
 @click.argument("name")
-@click.pass_obj
-def dir_remove(session: Session, name: str) -> None:
-    result = session.world.directory.remove_principal(name)
-    session.commit()
+@writes
+def dir_remove(world: World, name: str) -> str:
+    result = world.directory.remove_principal(name)
     groups = ", ".join(result["removed_from_groups"]) or "-"
-    click.echo(f"removed {name} (was in: {groups})")
+    return f"removed {name} (was in: {groups})"
 
 
 @dir_group.command("show")
@@ -258,13 +271,10 @@ def cloud_show(session: Session, ident: str) -> None:
 @cloud_group.command("set-quota")
 @click.argument("project")
 @click.argument("limit", type=int)
-@click.pass_obj
-def cloud_set_quota(session: Session, project: str, limit: int) -> None:
-    quota = session.world.cloud.set_quota(project, limit)
-    session.commit()
-    click.echo(
-        f"{quota.project}: {quota.current_count}/{quota.max_service_accounts} accounts"
-    )
+@writes
+def cloud_set_quota(world: World, project: str, limit: int) -> str:
+    quota = world.cloud.set_quota(project, limit)
+    return f"{quota.project}: {quota.current_count}/{quota.max_service_accounts} accounts"
 
 
 # -- vault ----------------------------------------------------------------------
@@ -292,13 +302,10 @@ def vault_ls(session: Session) -> None:
 @vault_group.command("read")
 @click.option("--as", "caller", required=True, help="Principal performing the read.")
 @click.argument("email")
-@click.pass_obj
-def vault_read(session: Session, caller: str, email: str) -> None:
-    try:
-        version = session.world.vault.read_key(email, caller)
-    finally:
-        session.commit()  # the attempt is audited either way
-    click.echo(f"{version.key_id} state={version.state.value} secret={version.secret}")
+@writes
+def vault_read(world: World, caller: str, email: str) -> str:
+    version = world.vault.read_key(email, caller)
+    return f"{version.key_id} state={version.state.value} secret={version.secret}"
 
 
 # -- clock / reconcile -------------------------------------------------------------
@@ -309,13 +316,11 @@ def clock_group() -> None:
 
 
 @clock_group.command("advance")
-@click.argument("duration")
-@click.pass_obj
-def clock_advance(session: Session, duration: str) -> None:
-    minutes = parse_duration(duration)
-    now = session.world.advance(minutes)
-    session.commit()
-    click.echo(f"clock advanced {minutes}m to t={now}")
+@click.argument("duration", type=parse_duration)
+@writes
+def clock_advance(world: World, duration: int) -> str:
+    now = world.advance(duration)
+    return f"clock advanced {duration}m to t={now}"
 
 
 @clock_group.command("show")
@@ -328,19 +333,16 @@ def clock_show(session: Session) -> None:
 @click.option("--once", is_flag=True, help="Run a single tick (default).")
 @click.option("--ticks", type=int, default=None,
               help="Run N ticks, advancing one tick_interval after each.")
-@click.pass_obj
-def reconcile(session: Session, once: bool, ticks: int | None) -> None:
+@writes
+def reconcile(world: World, once: bool, ticks: int | None) -> str:
     """Run the account-creator loop."""
-    world = session.world
     if ticks is not None and once:
         raise ControlPlaneError("use either --once or --ticks, not both")
     if ticks is not None:
         reports = world.reconciler.run_ticks(ticks, world.advance)
     else:
         reports = [world.reconciler.reconcile_tick()]
-    session.commit()
-    for report in reports:
-        click.echo(report.render())
+    return "\n".join(report.render() for report in reports)
 
 
 @cli.group("report")
@@ -371,19 +373,16 @@ def onboard_group() -> None:
 
 @onboard_group.command("bucket")
 @click.argument("principal")
-@click.pass_obj
-def onboard_bucket(session: Session, principal: str) -> None:
-    mapping = session.world.onboarder.provision_bucket(principal)
-    session.commit()
-    click.echo(f"gs://{mapping.bucket_id} <- {mapping.hdfs_home} (owner: {principal})")
+@writes
+def onboard_bucket(world: World, principal: str) -> str:
+    mapping = world.onboarder.provision_bucket(principal)
+    return f"gs://{mapping.bucket_id} <- {mapping.hdfs_home} (owner: {principal})"
 
 
 @onboard_group.command("sync-readers")
-@click.pass_obj
-def onboard_sync(session: Session) -> None:
-    report = session.world.onboarder.sync_reader_groups()
-    session.commit()
-    click.echo(report.render())
+@writes
+def onboard_sync(world: World) -> str:
+    return world.onboarder.sync_reader_groups().render()
 
 
 @cli.group("readers")
@@ -391,9 +390,8 @@ def readers_group() -> None:
     """Membership of per-bucket reader groups."""
 
 
-def _reader_pair(session: Session, bucket: str):
-    bucket_id = Cloud.strip_scheme(bucket)
-    pair = session.world.onboarder.pair_for(bucket_id)
+def _reader_pair(world: World, bucket: str):
+    pair = world.onboarder.pair_for(Cloud.strip_scheme(bucket))
     if pair is None:
         raise NotFound(f"no reader group pair for bucket {bucket!r}")
     return pair
@@ -402,23 +400,21 @@ def _reader_pair(session: Session, bucket: str):
 @readers_group.command("join")
 @click.argument("bucket")
 @click.argument("principal")
-@click.pass_obj
-def readers_join(session: Session, bucket: str, principal: str) -> None:
-    pair = _reader_pair(session, bucket)
-    group = session.world.directory.join_group(pair.ldap_group, principal)
-    session.commit()
-    click.echo(f"{group.name}: {', '.join(group.members) or '(empty)'}")
+@writes
+def readers_join(world: World, bucket: str, principal: str) -> str:
+    pair = _reader_pair(world, bucket)
+    group = world.directory.join_group(pair.ldap_group, principal)
+    return f"{group.name}: {', '.join(group.members) or '(empty)'}"
 
 
 @readers_group.command("leave")
 @click.argument("bucket")
 @click.argument("principal")
-@click.pass_obj
-def readers_leave(session: Session, bucket: str, principal: str) -> None:
-    pair = _reader_pair(session, bucket)
-    group = session.world.directory.leave_group(pair.ldap_group, principal)
-    session.commit()
-    click.echo(f"{group.name}: {', '.join(group.members) or '(empty)'}")
+@writes
+def readers_leave(world: World, bucket: str, principal: str) -> str:
+    pair = _reader_pair(world, bucket)
+    group = world.directory.leave_group(pair.ldap_group, principal)
+    return f"{group.name}: {', '.join(group.members) or '(empty)'}"
 
 
 # -- authz -----------------------------------------------------------------------
@@ -432,28 +428,20 @@ def authz_group() -> None:
 @click.option("--as", "caller", required=True,
               help="Principal name, or workspace:<name> to impersonate via ActAs.")
 @click.argument("email")
-@click.pass_obj
-def authz_token(session: Session, caller: str, email: str) -> None:
-    try:
-        token = session.world.authz.token_for(caller, email)
-    finally:
-        session.commit()
+@writes
+def authz_token(world: World, caller: str, email: str) -> str:
+    token = world.authz.token_for(caller, email)
     via = f" via_actas={token.via_actas}" if token.via_actas else ""
-    click.echo(f"{token.token_id} subject={token.subject}{via}")
+    return f"{token.token_id} subject={token.subject}{via}"
 
 
 @authz_group.command("check")
 @click.argument("token")
 @click.argument("bucket")
 @click.argument("action", type=click.Choice([a.value for a in AccessAction]))
-@click.pass_obj
-def authz_check(session: Session, token: str, bucket: str, action: str) -> None:
-    engine = session.world.authz
-    try:
-        decision = engine.authorize(token, bucket, AccessAction(action))
-    finally:
-        session.commit()
-    click.echo(decision.render())
+@writes
+def authz_check(world: World, token: str, bucket: str, action: str) -> str:
+    return world.authz.authorize(token, bucket, AccessAction(action)).render()
 
 
 @authz_group.command("job")
@@ -461,8 +449,8 @@ def authz_check(session: Session, token: str, bucket: str, action: str) -> None:
 @click.argument("email")
 @click.option("--access", "accesses", multiple=True, required=True,
               metavar="BUCKET:ACTION", help="Repeatable bucket:action pair.")
-@click.pass_obj
-def authz_job(session: Session, caller: str, email: str, accesses: tuple[str, ...]) -> None:
+@writes
+def authz_job(world: World, caller: str, email: str, accesses: tuple[str, ...]) -> str:
     buckets: list[str] = []
     actions: list[AccessAction] = []
     for item in accesses:
@@ -471,12 +459,7 @@ def authz_job(session: Session, caller: str, email: str, accesses: tuple[str, ..
             raise ControlPlaneError(f"bad --access {item!r}; expected BUCKET:read|write")
         buckets.append(bucket)
         actions.append(AccessAction(action))
-    engine = session.world.authz
-    try:
-        result = engine.submit_job(caller, email, buckets, actions)
-    finally:
-        session.commit()
-    click.echo(result.render())
+    return world.authz.submit_job(caller, email, buckets, actions).render()
 
 
 # -- audit -----------------------------------------------------------------------
@@ -614,8 +597,6 @@ def dispatch(session: Session, argv: list[str]) -> tuple[str, str | None]:
     try:
         with redirect_stdout(buffer):
             cli.main(args=argv, standalone_mode=False, obj=session)
-    except VerificationFailed as exc:
-        return buffer.getvalue(), f"VerificationFailed: {exc}"
     except ControlPlaneError as exc:
         return buffer.getvalue(), f"{exc.name}: {exc}"
     except click.exceptions.Exit as exc:

@@ -213,13 +213,15 @@ class Vault:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self, reveal_secrets: bool = True) -> dict:
-        data = encode({"entries": self.entries()})
-        if not reveal_secrets:
-            for entry in data["entries"]:
-                for version in entry["versions"]:
-                    version["secret"] = REDACTED
-        return data
+    def to_dict(self) -> dict:
+        return encode({"entries": self.entries()})
 
     def load_state(self, data: dict) -> None:
         self._entries = {e.account_email: e for e in decode(list[VaultEntry], data["entries"])}
+
+
+def redact(section: dict) -> None:
+    """Replace every secret in an encoded vault section with ``REDACTED``."""
+    for entry in section["entries"]:
+        for version in entry["versions"]:
+            version["secret"] = REDACTED

@@ -20,24 +20,21 @@ from .directory import Directory
 from .errors import SchemaError
 from .onboarder import Onboarder
 from .reconciler import ReconcileConfig, Reconciler
-from .vault import SecretSource, Vault
+from .vault import SecretSource, Vault, redact
 
 SCHEMA_VERSION = 1
 ORGANIZATION_ID = "org"
 
-_REQUIRED_KEYS = (
-    "schema_version",
-    "clock",
-    "config",
-    "secrets",
-    "directory",
-    "cloud",
-    "vault",
-    "onboarder",
-    "tokens",
-    "reconcile",
-    "authz",
-    "audit",
+# Each store's section of the state document: (state key, World attribute).
+_SECTIONS = (
+    ("directory", "directory"),
+    ("cloud", "cloud"),
+    ("vault", "vault"),
+    ("onboarder", "onboarder"),
+    ("tokens", "tokens"),
+    ("reconcile", "reconciler"),
+    ("authz", "authz"),
+    ("audit", "audit"),
 )
 
 
@@ -72,16 +69,11 @@ def write_atomic(path: str | Path, text: str) -> None:
 class World:
     """Aggregate root; all module objects share its audit log and clock."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        config: ReconcileConfig | None = None,
-        secrets: SecretSource | None = None,
-    ) -> None:
+    def __init__(self, config: ReconcileConfig, secrets: SecretSource) -> None:
         self.clock = 0
-        self.config = config or ReconcileConfig()
+        self.config = config
         self.audit = AuditLog(lambda: self.clock)
-        self.secrets = secrets or SecretSource(seed)
+        self.secrets = secrets
         self.directory = Directory(self.audit)
         self.cloud = Cloud(self.audit, default_quota=self.config.quota_default)
         self.vault = Vault(self.audit, self.directory.has_principal)
@@ -95,7 +87,7 @@ class World:
     @classmethod
     def new(cls, seed: int = 0, config: ReconcileConfig | None = None) -> "World":
         """Fresh world with the organization root already in place."""
-        world = cls(seed=seed, config=config)
+        world = cls(config or ReconcileConfig(), SecretSource(seed))
         world.cloud.create_node(NodeKind.ORGANIZATION, ORGANIZATION_ID, None)
         return world
 
@@ -110,20 +102,17 @@ class World:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self, reveal_secrets: bool = True) -> dict:
-        return {
+        data = {
             "schema_version": SCHEMA_VERSION,
             "clock": self.clock,
             "config": encode(self.config),
             "secrets": encode(self.secrets),
-            "directory": self.directory.to_dict(),
-            "cloud": self.cloud.to_dict(),
-            "vault": self.vault.to_dict(reveal_secrets),
-            "onboarder": self.onboarder.to_dict(),
-            "tokens": self.tokens.to_dict(),
-            "reconcile": self.reconciler.to_dict(),
-            "authz": self.authz.to_dict(),
-            "audit": self.audit.to_dict(),
         }
+        for key, attribute in _SECTIONS:
+            data[key] = getattr(self, attribute).to_dict()
+        if not reveal_secrets:
+            redact(data["vault"])
+        return data
 
     def export_text(self, reveal_secrets: bool = False) -> str:
         return canonical_json(self.to_dict(reveal_secrets))
@@ -132,7 +121,7 @@ class World:
     def from_dict(cls, data) -> "World":
         if not isinstance(data, dict):
             raise SchemaError("state document must be a JSON object (at /)")
-        for key in _REQUIRED_KEYS:
+        for key in ("schema_version", "clock", "config", "secrets", *dict(_SECTIONS)):
             if key not in data:
                 raise SchemaError(f"missing required key (at /{key})")
         if data["schema_version"] != SCHEMA_VERSION:
@@ -144,24 +133,16 @@ class World:
         def load(section: str, loader):
             try:
                 return loader(data[section])
-            except SchemaError:
-                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"malformed section (at /{section}): {exc}") from exc
 
         config = load("config", lambda d: decode(ReconcileConfig, d))
-        world = cls(config=config, secrets=load("secrets", lambda d: decode(SecretSource, d)))
+        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)))
         if not isinstance(data["clock"], int) or data["clock"] < 0:
             raise SchemaError("clock must be a non-negative integer (at /clock)")
         world.clock = data["clock"]
-        load("audit", world.audit.load_state)
-        load("directory", world.directory.load_state)
-        load("cloud", world.cloud.load_state)
-        load("vault", world.vault.load_state)
-        load("tokens", world.tokens.load_state)
-        load("onboarder", world.onboarder.load_state)
-        load("reconcile", world.reconciler.load_state)
-        load("authz", world.authz.load_state)
+        for key, attribute in _SECTIONS:
+            load(key, getattr(world, attribute).load_state)
         return world
 
     # -- files ---------------------------------------------------------------

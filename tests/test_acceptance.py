@@ -302,7 +302,7 @@ def test_criterion_5_quota_sharding():
 def test_criterion_6_reader_group_semantics():
     with criterion(6, "reader join/leave propagates through sync, read-only"):
         world = World.new(seed=21)
-        session = Session(state_path=None, world=world, persist=False)
+        session = Session(state_path=None, world=world)
         directory = world.directory
         directory.add_group(SOURCE_OF_TRUTH_GROUP)
         directory.add_principal("helen", PrincipalKind.HUMAN, "/dc1/cluster1/user/helen")
@@ -396,7 +396,7 @@ def _expected_decisions(command: str) -> int:
 def test_criterion_8_audit_completeness():
     with criterion(8, "mutations + decisions = audit events, gapless, right chain"):
         world = World.new(seed=42)
-        session = Session(state_path=None, world=world, persist=False)
+        session = Session(state_path=None, world=world)
         structural_keys = ("directory", "cloud", "vault", "onboarder")
         text = WALKTHROUGH.read_text(encoding="utf-8")
         outputs = []

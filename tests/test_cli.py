@@ -257,7 +257,7 @@ def test_golden_fixture_imports_clean_and_regenerates(statefile, tmp_path):
 
 
 def test_dispatch_reuses_in_memory_session():
-    session = Session(state_path=None, world=World.new(seed=1), persist=False)
+    session = Session(state_path=None, world=World.new(seed=1))
     out, err = dispatch(session, ["dir", "add-group", "mirror-account-users"])
     assert err is None and "added group" in out
     out, err = dispatch(session, ["dir", "join", "mirror-account-users", "ghost"])
@@ -266,7 +266,7 @@ def test_dispatch_reuses_in_memory_session():
 
 
 def test_run_script_strict_stops_after_failure():
-    session = Session(state_path=None, world=World.new(seed=1), persist=False)
+    session = Session(state_path=None, world=World.new(seed=1))
     text = "dir join nope ghost\ndir add-group mirror-account-users\n"
     entries = run_script(text, lambda argv: dispatch(session, argv), strict=True)
     assert [e.status for e in entries] == ["error"]
@@ -325,3 +325,90 @@ def test_onboarding_without_an_organization_is_a_command_error(statefile, tmp_pa
     capsys.readouterr()
     assert run("onboard", "bucket", "helen") == 1
     assert "error: ControlPlaneError: cloud has no organization node" in capsys.readouterr().err
+
+
+# -- write commands the walkthrough leaves out ------------------------------------
+
+HELEN_MIRROR = "helen-mirror@service-accounts-project.iam.gserviceaccount.com"
+POSTS_MIRROR = "posts-analyze-mirror@service-accounts-project.iam.gserviceaccount.com"
+
+
+@pytest.fixture
+def walked(statefile, capsys):
+    assert run("scenario", "run", str(WALKTHROUGH), "--strict") == 0
+    capsys.readouterr()
+    return statefile
+
+
+def test_dir_remove_names_the_groups_left(walked, capsys):
+    assert run("dir", "remove", "helen") == 0
+    assert capsys.readouterr().out == (
+        "removed helen (was in: mirror-account-users, reader-user.posts-analyze.dp.domain)\n"
+    )
+
+
+def test_dir_show_group_lists_members(walked, capsys):
+    assert run("dir", "show", "mirror-account-users") == 0
+    assert capsys.readouterr().out == "mirror-account-users: posts-analyze, helen\n"
+
+
+def test_cloud_show_mirror_lists_its_actas_grant(walked, capsys):
+    assert run("cloud", "show", HELEN_MIRROR) == 0
+    assert capsys.readouterr().out == (
+        f"service account {HELEN_MIRROR}: source=helen "
+        "project=service-accounts-project status=active\n"
+        "  act-as -> workspace:helen\n"
+    )
+
+
+def test_authz_job_reports_each_access(walked, capsys):
+    assert run("authz", "job", "--as", "posts-analyze", POSTS_MIRROR,
+               "--access", "user.posts-analyze.dp.domain:write",
+               "--access", "user.helen.dp.domain:write",
+               "--access", "gs://nope:read") == 0
+    assert capsys.readouterr().out == (
+        f"job-0001 as {POSTS_MIRROR}\n"
+        "  write user.posts-analyze.dp.domain: ALLOW Owner\n"
+        "  write user.helen.dp.domain: DENY NotAuthorized\n"
+        "  read gs://nope: UnknownBucket: no bucket 'gs://nope'\n"
+    )
+
+
+def test_authz_job_rejects_an_access_without_action(walked, capsys):
+    assert run("authz", "job", "--as", "posts-analyze", POSTS_MIRROR,
+               "--access", "nocolon") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ControlPlaneError: bad --access 'nocolon'; expected BUCKET:read|write\n"
+    )
+
+
+def test_reconcile_ticks_runs_and_advances_per_tick(walked, capsys):
+    assert run("reconcile", "--ticks", "2") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("tick 2 at t=0\n") and "\ntick 3 at t=15\n" in out
+    assert out.count("tick ") == 2
+    assert run("clock", "show") == 0
+    assert capsys.readouterr().out == "t=30\n"
+
+
+def test_reconcile_zero_ticks_prints_nothing(walked, capsys):
+    before = walked.read_bytes()
+    assert run("reconcile", "--ticks", "0") == 0
+    assert capsys.readouterr().out == ""
+    assert walked.read_bytes() == before
+
+
+def test_reconcile_once_and_ticks_is_a_command_error(walked, capsys):
+    assert run("reconcile", "--once", "--ticks", "1") == 1
+    assert capsys.readouterr().err == (
+        "error: ControlPlaneError: use either --once or --ticks, not both\n"
+    )
+
+
+def test_readers_join_unknown_bucket_is_not_found(walked, capsys):
+    assert run("readers", "join", "gs://nope", "helen") == 1
+    assert capsys.readouterr().err == (
+        "error: NotFound: no reader group pair for bucket 'gs://nope'\n"
+    )

@@ -1,5 +1,6 @@
 """Crash-safe state writes and the append-only audit sidecar."""
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mirrorplane.cli import main
+from mirrorplane.onboarder import cloud_reader_group
 from mirrorplane.world import World
 
 
@@ -55,3 +57,51 @@ def test_sidecar_ahead_of_state_is_refused(statefile, capsys):
     # Importing a state replaces the sidecar with that state's events.
     assert main(["state", "import", "old.json"]) == 0
     assert len(sidecar.read_text().splitlines()) == len(World.load(statefile).audit)
+
+
+def test_torn_sidecar_tail_is_cut_before_the_next_append(statefile):
+    sidecar = Path(f"{statefile}.audit.jsonl")
+    for name in ("a", "b", "c"):
+        assert main(["dir", "add-group", name]) == 0
+    # A crash mid-append: the last line is lost and the one before it is torn.
+    lines = sidecar.read_bytes().splitlines(keepends=True)
+    sidecar.write_bytes(b"".join(lines[:-2]) + lines[-2][: len(lines[-2]) // 2])
+
+    assert main(["dir", "add-group", "d"]) == 0
+    seqs = [json.loads(line)["seq"] for line in sidecar.read_text().splitlines()]
+    assert seqs == list(range(1, len(World.load(statefile).audit) + 1))
+
+
+WALKTHROUGH = Path(__file__).resolve().parent.parent / "scripts" / "partly_cloudy.txt"
+
+
+def test_failed_write_saves_alike_alone_and_in_a_scenario(statefile, tmp_path, capsys):
+    assert main(["init", "--force", "--seed", "42"]) == 0
+    assert main(["scenario", "run", str(WALKTHROUGH), "--strict"]) == 0
+    assert main(["readers", "join", "user.helen.dp.domain", "posts-analyze"]) == 0
+    assert main(["state", "export", "--reveal-secrets", "-o", "snapshot.json"]) == 0
+    # Without posts-analyze's reader group, the sync fails after changing helen's.
+    data = json.loads(Path("snapshot.json").read_text())
+    groups = data["directory"]["groups"]
+    data["directory"]["groups"] = [
+        g for g in groups if g["name"] != "reader-user.posts-analyze.dp.domain"
+    ]
+    Path("snapshot.json").write_text(json.dumps(data))
+    commands = [["onboard", "sync-readers"], ["dir", "add-group", "x"]]
+    alone, scripted = tmp_path / "alone.json", tmp_path / "scripted.json"
+    for state in (alone, scripted):
+        assert main(["--state", str(state), "state", "import", "snapshot.json"]) == 0
+    assert main(["--state", str(alone), *commands[0]]) == 1
+    assert main(["--state", str(alone), *commands[1]]) == 0
+    script = tmp_path / "script.txt"
+    script.write_text("".join(" ".join(argv) + "\n" for argv in commands))
+    assert main(["--state", str(scripted), "scenario", "run", str(script)]) == 0
+    capsys.readouterr()
+
+    assert alone.read_bytes() == scripted.read_bytes()
+    assert Path(f"{alone}.audit.jsonl").read_bytes() == Path(f"{scripted}.audit.jsonl").read_bytes()
+    # The sync's change before its failure persists.
+    helen_readers = World.load(alone).cloud.node(cloud_reader_group("user.helen.dp.domain"))
+    assert [b.principal for b in helen_readers.bindings] == [
+        "serviceAccount:posts-analyze-mirror@service-accounts-project.iam.gserviceaccount.com"
+    ]

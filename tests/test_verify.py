@@ -8,7 +8,7 @@ import json
 
 from mirrorplane import PrincipalKind, World, verify_world
 from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
-from mirrorplane.onboarder import ldap_reader_group
+from mirrorplane.onboarder import cloud_reader_group, ldap_reader_group
 
 from conftest import mirror
 
@@ -202,3 +202,190 @@ def test_underscore_members_do_not_break_convergence(populated):
     populated.directory.join_group(SOURCE_OF_TRUTH_GROUP, "ads_report")
     populated.reconciler.reconcile_tick()
     assert verify_world(populated, include_convergence=True) == []
+
+
+# -- each remaining safety rule, planted alone -----------------------------------
+
+HELEN_BUCKET = "user.helen.dp.domain"
+SAP = "service-accounts-project"
+
+
+def found(violations) -> list[tuple[str, str]]:
+    return [(v.rule, v.target) for v in violations]
+
+
+def node_of(data, node_id: str) -> dict:
+    return next(n for n in data["cloud"]["nodes"] if n["id"] == node_id)
+
+
+def add_node(data, node_id: str, kind: str, parent: str | None) -> None:
+    data["cloud"]["nodes"].append(
+        {"id": node_id, "kind": kind, "parent": parent, "bindings": []}
+    )
+
+
+def test_duplicate_group_member_is_caught(converged):
+    def edit(data):
+        data["directory"]["groups"][0]["members"].append("helen")
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("ReferentialIntegrityViolation", SOURCE_OF_TRUTH_GROUP),
+    ]
+
+
+def test_workspace_flag_on_headless_principal_is_caught(converged):
+    def edit(data):
+        for record in data["directory"]["principals"]:
+            if record["name"] == "posts-analyze":
+                record["has_workspace_identity"] = True
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("WorkspaceFlagViolation", "posts-analyze"),
+    ]
+
+
+def test_second_organization_is_caught(world):
+    def edit(data):
+        add_node(data, "org2", "organization", None)
+
+    assert found(verify_world(corrupt(world, edit))) == [("TreeViolation", "organization")]
+
+
+def test_organization_with_parent_is_caught(world):
+    def edit(data):
+        node_of(data, "org")["parent"] = "elsewhere"
+
+    assert found(verify_world(corrupt(world, edit))) == [("TreeViolation", "org")]
+
+
+def test_parentless_node_and_its_child_are_caught(world):
+    def edit(data):
+        add_node(data, "loose", "folder", None)
+        add_node(data, "loose-project", "project", "loose")
+
+    assert found(verify_world(corrupt(world, edit))) == [
+        ("TreeViolation", "loose"),          # no parent
+        ("TreeViolation", "loose-project"),  # walk ends off-root
+    ]
+
+
+def test_missing_parent_is_caught(world):
+    def edit(data):
+        add_node(data, "orphan", "folder", "ghost")
+
+    assert found(verify_world(corrupt(world, edit))) == [("TreeViolation", "orphan")]
+
+
+def test_parent_cycle_is_caught(world):
+    def edit(data):
+        add_node(data, "ring-a", "folder", "ring-b")
+        add_node(data, "ring-b", "folder", "ring-a")
+
+    assert found(verify_world(corrupt(world, edit))) == [
+        ("TreeViolation", "ring-a"),
+        ("TreeViolation", "ring-b"),
+    ]
+
+
+def test_quota_count_drift_is_caught(converged):
+    def edit(data):
+        data["cloud"]["quotas"][0]["current_count"] += 1
+
+    assert found(verify_world(corrupt(converged, edit))) == [("QuotaViolation", SAP)]
+
+
+def test_account_without_node_is_caught(converged):
+    def edit(data):
+        data["cloud"]["nodes"].remove(node_of(data, mirror("posts-analyze")))
+        data["cloud"]["quotas"][0]["current_count"] -= 1
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("BijectionViolation", mirror("posts-analyze")),
+    ]
+
+
+def test_actas_on_non_mirror_node_is_caught(converged):
+    def edit(data):
+        node_of(data, SAP)["bindings"].append(
+            {"role": "act-as", "principal": "workspace:helen"}
+        )
+
+    assert found(verify_world(corrupt(converged, edit))) == [("ActAsViolation", SAP)]
+
+
+def test_version_of_another_entry_is_caught(converged):
+    def edit(data):
+        data["vault"]["entries"][0]["versions"][0]["account_email"] = mirror("posts-analyze")
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("OwnershipViolation", mirror("helen") + "#v1"),
+    ]
+
+
+def test_history_not_ending_at_current_state_is_caught(converged):
+    def edit(data):
+        data["vault"]["entries"][0]["versions"][0]["state_history"] = ["active", "retiring"]
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("LifecycleViolation", mirror("helen") + "#v1"),
+    ]
+
+
+def test_bucket_id_that_does_not_round_trip_is_caught(provisioned):
+    # helen's mapping points at a bucket her mirror owns under a foreign id.
+    def edit(data):
+        add_node(data, "odd-bucket", "bucket", node_of(data, HELEN_BUCKET)["parent"])
+        node_of(data, "odd-bucket")["bindings"] = [
+            b for b in node_of(data, HELEN_BUCKET)["bindings"] if b["role"] == "bucket-owner"
+        ]
+        data["onboarder"]["mappings"][0]["bucket_id"] = "odd-bucket"
+
+    assert found(verify_world(corrupt(provisioned, edit))) == [("MappingViolation", "odd-bucket")]
+
+
+def test_missing_bucket_node_is_caught(provisioned):
+    def edit(data):
+        data["cloud"]["nodes"].remove(node_of(data, HELEN_BUCKET))
+
+    assert found(verify_world(corrupt(provisioned, edit))) == [
+        ("MappingViolation", HELEN_BUCKET),
+        # The pair's one reader grant lived on the removed bucket.
+        ("ReaderGroupViolation", cloud_reader_group(HELEN_BUCKET)),
+    ]
+
+
+def test_second_bucket_owner_is_caught(provisioned):
+    def edit(data):
+        node_of(data, HELEN_BUCKET)["bindings"].append(
+            {"role": "bucket-owner", "principal": "user:helen"}
+        )
+
+    assert found(verify_world(corrupt(provisioned, edit))) == [
+        ("OwnershipViolation", HELEN_BUCKET),
+    ]
+
+
+def test_missing_cloud_group_node_is_caught(provisioned):
+    def edit(data):
+        data["cloud"]["nodes"].remove(node_of(data, cloud_reader_group(HELEN_BUCKET)))
+
+    corrupted = corrupt(provisioned, edit)
+    expected = [("ReaderGroupViolation", cloud_reader_group(HELEN_BUCKET))]
+    assert found(verify_world(corrupted)) == expected
+    # The convergence tier does not report the missing group a second time.
+    assert found(verify_world(corrupted, include_convergence=True)) == expected
+
+
+def test_tokens_with_unknown_subject_or_key_are_caught(converged):
+    converged.authz.token_for("posts-analyze", mirror("posts-analyze"))
+    converged.authz.token_for("workspace:helen", mirror("helen"))
+
+    def edit(data):
+        first, second = data["tokens"]["tokens"]
+        first["subject"] = "ghost@nowhere"
+        second["minted_from"] = mirror("helen") + "#v9"
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("TokenViolation", "tok-000001"),
+        ("TokenViolation", "tok-000002"),
+    ]
