@@ -1,7 +1,8 @@
 import pytest
 
-from mirrorplane import MirrorAccount, NodeKind, Role
+from mirrorplane import MirrorAccount, NodeKind, PrincipalKind, Role, World
 from mirrorplane.cloud import AccountStatus, sa_principal, workspace_principal
+from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
 from mirrorplane.errors import (
     AlreadyDisabled,
     DuplicateEmail,
@@ -14,6 +15,7 @@ from mirrorplane.errors import (
     UnknownAccount,
     UnknownNode,
 )
+from mirrorplane.reconciler import ReconcileConfig, ShardingMode
 
 from conftest import SAP, mirror
 
@@ -174,3 +176,44 @@ def test_tree_walk_terminates_at_org(cloud):
         hops += 1
         assert hops < 10
     assert node.kind is NodeKind.ORGANIZATION
+
+
+def test_rendered_tree_of_a_sharded_world():
+    config = ReconcileConfig(sharding_mode=ShardingMode.PER_ORG_UNIT, quota_default=1)
+    world = World.new(seed=7, config=config)
+    directory = world.directory
+    directory.add_group(SOURCE_OF_TRUTH_GROUP)
+    for name, kind, org_unit in [
+        ("helen", PrincipalKind.HUMAN, "finance"),
+        ("ana", PrincipalKind.HUMAN, "finance"),  # overflows into project -2
+        ("posts-analyze", PrincipalKind.HEADLESS, "eng"),
+        ("bob", PrincipalKind.HUMAN, "eng"),
+    ]:
+        directory.add_principal(name, kind, f"/dc1/cluster1/user/{name}", org_unit)
+        directory.join_group(SOURCE_OF_TRUTH_GROUP, name)
+    world.reconciler.reconcile_tick()
+    world.onboarder.provision_bucket("helen")
+    world.onboarder.provision_bucket("posts-analyze")
+    directory.leave_group(SOURCE_OF_TRUTH_GROUP, "bob")
+    world.reconciler.reconcile_tick()  # disables bob's mirror
+
+    eng, finance = "eng-service-accounts-project", "finance-service-accounts-project"
+    assert world.cloud.render_tree().splitlines() == [
+        "organization: org",
+        "  cloud-group: reader-user.helen.dp.domain@groups.dp.domain",
+        "  cloud-group: reader-user.posts-analyze.dp.domain@groups.dp.domain",
+        "  folder: DATASTORE",
+        "    project: shared-gcs-storage-project [0/1 accounts]",
+        "      bucket: gs://user.helen.dp.domain",
+        "      bucket: gs://user.posts-analyze.dp.domain",
+        "  folder: ENGIAM",
+        f"    project: {eng} [1/1 accounts]",
+        f"      service-account: {mirror('posts-analyze', eng)} (active)",
+        f"    project: {eng}-2 [1/1 accounts]",
+        f"      service-account: {mirror('bob', eng + '-2')} (disabled)",
+        "  folder: FINANCEIAM",
+        f"    project: {finance} [1/1 accounts]",
+        f"      service-account: {mirror('helen', finance)} (active)",
+        f"    project: {finance}-2 [1/1 accounts]",
+        f"      service-account: {mirror('ana', finance + '-2')} (active)",
+    ]

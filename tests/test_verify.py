@@ -389,3 +389,66 @@ def test_tokens_with_unknown_subject_or_key_are_caught(converged):
         ("TokenViolation", "tok-000001"),
         ("TokenViolation", "tok-000002"),
     ]
+
+
+# -- the rendered output of both tiers, pinned -----------------------------------
+
+
+def test_rendered_output_of_many_binding_plantings(provisioned):
+    directory = provisioned.directory
+    directory.join_group(ldap_reader_group(POSTS_BUCKET), "helen")
+    provisioned.onboarder.sync_reader_groups()
+    directory.join_group(ldap_reader_group(HELEN_BUCKET), "posts-analyze")  # not synced
+    posts_readers = cloud_reader_group(POSTS_BUCKET)
+    clone = mirror("helen", "elsewhere")
+
+    def edit(data):
+        node_of(data, mirror("posts-analyze"))["bindings"].append(
+            {"role": "act-as", "principal": "workspace:helen"}
+        )
+        node_of(data, SAP)["bindings"].append(
+            {"role": "bucket-owner", "principal": f"serviceAccount:{mirror('helen')}"}
+        )
+        node_of(data, POSTS_BUCKET)["bindings"].append(
+            {"role": "bucket-writer", "principal": f"group:{posts_readers}"}
+        )
+        node_of(data, HELEN_BUCKET)["bindings"].append(
+            {"role": "bucket-owner", "principal": "user:helen"}
+        )
+        # A second active mirror of helen, sorting before her first by email.
+        data["cloud"]["accounts"].append(dict(
+            email=clone, source_principal="helen", project="elsewhere", status="active",
+        ))
+        add_node(data, "elsewhere", "project", "IAMSTORE")
+        add_node(data, clone, "service-account", "elsewhere")
+        data["cloud"]["quotas"].append(
+            {"project": "elsewhere", "max_service_accounts": 100, "current_count": 1}
+        )
+
+    corrupted = corrupt(provisioned, edit)
+    helen_sa = "serviceAccount:" + mirror("helen")
+    posts = mirror("posts-analyze")
+    safety = [
+        f"BijectionViolation [helen]: two active mirrors: {clone} and {mirror('helen')}",
+        f"ActAsViolation [{posts}]: 'workspace:helen' may not act as a mirror of "
+        "'posts-analyze'",
+        f"LockdownViolation [{SAP}]: mirror '{helen_sa}' holds a grant on project",
+        f"OwnershipViolation [{HELEN_BUCKET}]: owner bindings ['{helen_sa}', 'user:helen'] "
+        "are not exactly one mirror of 'helen'",
+        f"ReaderGroupViolation [{posts_readers}]: expected exactly one BucketReader grant "
+        f"on '{POSTS_BUCKET}', found [('{POSTS_BUCKET}', 'bucket-reader'), "
+        f"('{POSTS_BUCKET}', 'bucket-writer')]",
+    ]
+    convergence = [
+        "ActAsViolation [act-as]: grants differ from the human-member set (missing=[], "
+        f"extra=[('{posts}', 'workspace:helen')])",
+        f"ReaderGroupViolation [{cloud_reader_group(HELEN_BUCKET)}]: members differ from "
+        f"the on-premise image (missing=['serviceAccount:{posts}'], extra=[])",
+        # The image of helen is her first active mirror by email.
+        f"ReaderGroupViolation [{posts_readers}]: members differ from the on-premise image "
+        f"(missing=['serviceAccount:{clone}'], extra=['{helen_sa}'])",
+    ]
+    rendered = [v.render() for v in verify_world(corrupted)]
+    assert rendered == safety
+    rendered = [v.render() for v in verify_world(corrupted, include_convergence=True)]
+    assert rendered == safety + convergence
