@@ -331,7 +331,7 @@ def clock_show(session: Session) -> None:
 
 @cli.command()
 @click.option("--once", is_flag=True, help="Run a single tick (default).")
-@click.option("--ticks", type=int, default=None,
+@click.option("--ticks", type=click.IntRange(min=0), default=None,
               help="Run N ticks, advancing one tick_interval after each.")
 @writes
 def reconcile(world: World, once: bool, ticks: int | None) -> str:

@@ -14,6 +14,7 @@ writer; queries are read-only.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -340,9 +341,11 @@ class Cloud:
         org = self.organization()
         if org is None:
             return "(no organization)"
-        lines: list[str] = []
+        children: dict[str | None, list[ResourceNode]] = {}  # each list in children() order
+        for node in sorted(self._nodes.values(), key=lambda n: (n.kind.value, n.id)):
+            children.setdefault(node.parent, []).append(node)
 
-        def walk(node: ResourceNode, depth: int) -> None:
+        def walk(node: ResourceNode, depth: int) -> Iterator[str]:
             label = node.id
             if node.kind is NodeKind.BUCKET:
                 label = BUCKET_SCHEME + node.id
@@ -354,12 +357,11 @@ class Cloud:
                 acct = self._accounts.get(node.id)
                 if acct is not None:
                     suffix = f" ({acct.status.value})"
-            lines.append(f"{'  ' * depth}{node.kind.value}: {label}{suffix}")
-            for child in self.children(node.id):
-                walk(child, depth + 1)
+            yield f"{'  ' * depth}{node.kind.value}: {label}{suffix}"
+            for child in children.get(node.id, []):
+                yield from walk(child, depth + 1)
 
-        walk(org, 0)
-        return "\n".join(lines)
+        return "\n".join(walk(org, 0))
 
     def to_dict(self) -> dict:
         return encode({

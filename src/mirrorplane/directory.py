@@ -99,6 +99,8 @@ class Directory:
     ) -> PrincipalRecord:
         if not PRINCIPAL_NAME_RE.match(name or ""):
             raise InvalidName(f"illegal principal name {name!r}")
+        if not PRINCIPAL_NAME_RE.match(org_unit or ""):
+            raise InvalidName(f"illegal org unit {org_unit!r}")
         if name in self._principals:
             raise DuplicateName(f"principal {name!r} already exists")
         record = PrincipalRecord(

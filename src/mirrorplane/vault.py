@@ -165,14 +165,14 @@ class Vault:
         transitions: list[tuple[str, str, str]] = []
         for email in sorted(self._entries):
             for version in self._entries[email].versions:
-                if version.state is KeyState.RETIRING:
-                    assert version.retiring_since is not None
-                    if now - version.retiring_since >= grace:
-                        version._transition(KeyState.INVALID)
-                        transitions.append(
-                            (version.key_id, KeyState.RETIRING.value, KeyState.INVALID.value)
-                        )
-                        self._audit.mutation("vault.expire_key", version.key_id)
+                # Fail closed: without retiring_since the grace window cannot be shown.
+                since = version.retiring_since
+                if version.state is KeyState.RETIRING and (since is None or now - since >= grace):
+                    version._transition(KeyState.INVALID)
+                    transitions.append(
+                        (version.key_id, KeyState.RETIRING.value, KeyState.INVALID.value)
+                    )
+                    self._audit.mutation("vault.expire_key", version.key_id)
         return transitions
 
     def revoke_all(self, account_email: str) -> int:

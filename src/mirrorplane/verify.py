@@ -11,9 +11,11 @@ tick or sync.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .cloud import AccountStatus, NodeKind, Role, sa_principal, workspace_principal
+from .cloud import (AccountStatus, MirrorAccount, NodeKind, ResourceNode, Role, RoleBinding,
+                    sa_principal, workspace_principal)
 from .directory import SOURCE_OF_TRUTH_GROUP, PrincipalKind
 from .onboarder import principal_for_bucket
 from .errors import UnmappablePath
@@ -21,6 +23,7 @@ from .vault import KeyState
 from .world import World
 
 _LIFECYCLE_ORDER = [KeyState.ACTIVE.value, KeyState.RETIRING.value, KeyState.INVALID.value]
+Bound = tuple[ResourceNode, RoleBinding]
 
 
 @dataclass(frozen=True)
@@ -34,19 +37,24 @@ class Violation:
 
 
 def verify_world(world: World, include_convergence: bool = False) -> list[Violation]:
+    # The checks share these views instead of rescanning the tree or the accounts.
+    nodes = world.cloud.nodes()
+    bound = [(node, binding) for node in nodes for binding in node.bindings]
+    actas = [(node, binding) for node, binding in bound if binding.role is Role.ACT_AS]
+    accounts = world.cloud.accounts()
     out: list[Violation] = []
     _check_directory(world, out)
-    _check_tree(world, out)
-    _check_quotas(world, out)
-    _check_mirrors(world, out)
-    _check_actas(world, out)
-    _check_lockdown(world, out)
+    _check_tree(world, nodes, out)
+    _check_quotas(world, nodes, out)
+    _check_mirrors(world, accounts, out)
+    _check_actas(world, actas, out)
+    _check_lockdown(bound, out)
     _check_vault(world, out)
-    _check_buckets(world, out)
+    _check_buckets(world, bound, accounts, out)
     _check_tokens(world, out)
     _check_audit(world, out)
     if include_convergence:
-        _check_convergence(world, out)
+        _check_convergence(world, actas, accounts, out)
     return out
 
 
@@ -75,13 +83,13 @@ def _check_directory(world: World, out: list[Violation]) -> None:
             ))
 
 
-def _check_tree(world: World, out: list[Violation]) -> None:
-    orgs = [n for n in world.cloud.nodes() if n.kind is NodeKind.ORGANIZATION]
+def _check_tree(world: World, nodes: list[ResourceNode], out: list[Violation]) -> None:
+    orgs = [n for n in nodes if n.kind is NodeKind.ORGANIZATION]
     if len(orgs) != 1:
         out.append(Violation(
             "TreeViolation", "organization", f"expected exactly 1 organization, found {len(orgs)}",
         ))
-    for node in world.cloud.nodes():
+    for node in nodes:
         if node.kind is NodeKind.ORGANIZATION:
             if node.parent is not None:
                 out.append(Violation("TreeViolation", node.id, "organization has a parent"))
@@ -106,13 +114,10 @@ def _check_tree(world: World, out: list[Violation]) -> None:
                 out.append(Violation("TreeViolation", node.id, "parent walk ends off-root"))
 
 
-def _check_quotas(world: World, out: list[Violation]) -> None:
-    per_project: dict[str, int] = {}
-    for node in world.cloud.nodes():
-        if node.kind is NodeKind.SERVICE_ACCOUNT and node.parent:
-            per_project[node.parent] = per_project.get(node.parent, 0) + 1
+def _check_quotas(world: World, nodes: list[ResourceNode], out: list[Violation]) -> None:
+    counts = Counter(n.parent for n in nodes if n.kind is NodeKind.SERVICE_ACCOUNT and n.parent)
     for quota in world.cloud.quotas():
-        actual = per_project.get(quota.project, 0)
+        actual = counts[quota.project]
         if actual != quota.current_count:
             out.append(Violation(
                 "QuotaViolation", quota.project,
@@ -125,9 +130,9 @@ def _check_quotas(world: World, out: list[Violation]) -> None:
             ))
 
 
-def _check_mirrors(world: World, out: list[Violation]) -> None:
+def _check_mirrors(world: World, accounts: list[MirrorAccount], out: list[Violation]) -> None:
     sources: dict[str, str] = {}
-    for acct in world.cloud.accounts():
+    for acct in accounts:
         if acct.status is AccountStatus.ACTIVE:
             if acct.source_principal in sources:
                 out.append(Violation(
@@ -141,38 +146,33 @@ def _check_mirrors(world: World, out: list[Violation]) -> None:
             ))
 
 
-def _check_actas(world: World, out: list[Violation]) -> None:
-    for node in world.cloud.nodes():
-        for binding in node.bindings:
-            if binding.role is not Role.ACT_AS:
-                continue
-            if not world.cloud.has_account(node.id):
-                out.append(Violation(
-                    "ActAsViolation", node.id, "ActAs binding on a non-mirror node",
-                ))
-                continue
-            acct = world.cloud.account(node.id)
-            if binding.principal != workspace_principal(acct.source_principal):
-                out.append(Violation(
-                    "ActAsViolation", node.id,
-                    f"{binding.principal!r} may not act as a mirror of "
-                    f"{acct.source_principal!r}",
-                ))
+def _check_actas(world: World, actas: list[Bound], out: list[Violation]) -> None:
+    for node, binding in actas:
+        if not world.cloud.has_account(node.id):
+            out.append(Violation(
+                "ActAsViolation", node.id, "ActAs binding on a non-mirror node",
+            ))
+            continue
+        acct = world.cloud.account(node.id)
+        if binding.principal != workspace_principal(acct.source_principal):
+            out.append(Violation(
+                "ActAsViolation", node.id,
+                f"{binding.principal!r} may not act as a mirror of "
+                f"{acct.source_principal!r}",
+            ))
 
 
-def _check_lockdown(world: World, out: list[Violation]) -> None:
+def _check_lockdown(bound: list[Bound], out: list[Violation]) -> None:
     # Mirror accounts get no grants on the identity-storage side of the tree:
     # no service-account principal may appear on org, folder, project, or
     # service-account nodes.
-    for node in world.cloud.nodes():
-        if node.kind in (NodeKind.BUCKET, NodeKind.CLOUD_GROUP):
-            continue
-        for binding in node.bindings:
-            if binding.principal.startswith("serviceAccount:"):
-                out.append(Violation(
-                    "LockdownViolation", node.id,
-                    f"mirror {binding.principal!r} holds a grant on {node.kind.value}",
-                ))
+    for node, binding in bound:
+        if (node.kind not in (NodeKind.BUCKET, NodeKind.CLOUD_GROUP)
+                and binding.principal.startswith("serviceAccount:")):
+            out.append(Violation(
+                "LockdownViolation", node.id,
+                f"mirror {binding.principal!r} holds a grant on {node.kind.value}",
+            ))
 
 
 def _check_vault(world: World, out: list[Violation]) -> None:
@@ -210,9 +210,15 @@ def _check_vault(world: World, out: list[Violation]) -> None:
                     "LifecycleViolation", version.key_id,
                     f"transitions ran backwards: {version.state_history}",
                 ))
+            if version.state is KeyState.RETIRING and version.retiring_since is None:
+                out.append(Violation("LifecycleViolation", version.key_id, "retiring_since unset"))
 
 
-def _check_buckets(world: World, out: list[Violation]) -> None:
+def _check_buckets(world: World, bound: list[Bound], accounts: list[MirrorAccount],
+                   out: list[Violation]) -> None:
+    mirrors: dict[str, set[str]] = {}
+    for acct in accounts:
+        mirrors.setdefault(acct.source_principal, set()).add(sa_principal(acct.email))
     for mapping in world.onboarder.mappings():
         try:
             parsed = principal_for_bucket(mapping.bucket_id)
@@ -230,31 +236,25 @@ def _check_buckets(world: World, out: list[Violation]) -> None:
             continue
         bucket = world.cloud.node(mapping.bucket_id)
         owners = [b.principal for b in bucket.bindings if b.role is Role.BUCKET_OWNER]
-        mirrors = {
-            sa_principal(a.email)
-            for a in world.cloud.accounts()
-            if a.source_principal == mapping.principal
-        }
         # A decommissioned owner legitimately remains bound (the binding is
         # unreachable without a valid token), so any mirror of the principal
         # qualifies; raw principals and foreign mirrors never do.
-        if len(owners) != 1 or owners[0] not in mirrors:
+        if len(owners) != 1 or owners[0] not in mirrors.get(mapping.principal, ()):
             out.append(Violation(
                 "OwnershipViolation", mapping.bucket_id,
                 f"owner bindings {owners} are not exactly one mirror of "
                 f"{mapping.principal!r}",
             ))
+    grants: dict[str, list[tuple[str, Role]]] = {}
+    for node, binding in bound:
+        grants.setdefault(binding.principal, []).append((node.id, binding.role))
     for pair in world.onboarder.pairs():
         if not world.cloud.has_node(pair.cloud_group):
             out.append(Violation(
                 "ReaderGroupViolation", pair.cloud_group, "cloud group node missing",
             ))
             continue
-        reader_grants = []
-        for node in world.cloud.nodes():
-            for binding in node.bindings:
-                if binding.principal == f"group:{pair.cloud_group}":
-                    reader_grants.append((node.id, binding.role))
+        reader_grants = grants.get(f"group:{pair.cloud_group}", [])
         if reader_grants != [(pair.bucket_id, Role.BUCKET_READER)]:
             out.append(Violation(
                 "ReaderGroupViolation", pair.cloud_group,
@@ -287,14 +287,16 @@ def _check_audit(world: World, out: list[Violation]) -> None:
             break
 
 
-def _check_convergence(world: World, out: list[Violation]) -> None:
+def _check_convergence(world: World, actas: list[Bound], accounts: list[MirrorAccount],
+                       out: list[Violation]) -> None:
     members: list[str] = []
     if world.directory.has_group(SOURCE_OF_TRUTH_GROUP):
         members = world.directory.group(SOURCE_OF_TRUTH_GROUP).members
     legal = [m for m in members if "_" not in m and world.directory.has_principal(m)]
 
-    active = {a.source_principal: a.email
-              for a in world.cloud.accounts() if a.status is AccountStatus.ACTIVE}
+    live = [a for a in accounts if a.status is AccountStatus.ACTIVE]
+    active = {a.source_principal: a.email for a in live}  # the last by email wins
+    first_active = {a.source_principal: a.email for a in reversed(live)}  # as active_mirror_for
     if set(legal) != set(active):
         missing = sorted(set(legal) - set(active))
         extra = sorted(set(active) - set(legal))
@@ -308,11 +310,7 @@ def _check_convergence(world: World, out: list[Violation]) -> None:
         record = world.directory.principal(member)
         if record.has_workspace_identity and member in active:
             expected_actas.add((active[member], workspace_principal(member)))
-    found_actas = set()
-    for node in world.cloud.nodes():
-        for binding in node.bindings:
-            if binding.role is Role.ACT_AS:
-                found_actas.add((node.id, binding.principal))
+    found_actas = {(node.id, binding.principal) for node, binding in actas}
     if expected_actas != found_actas:
         out.append(Violation(
             "ActAsViolation", "act-as",
@@ -341,10 +339,8 @@ def _check_convergence(world: World, out: list[Violation]) -> None:
     for pair in world.onboarder.pairs():
         desired = set()
         if world.directory.has_group(pair.ldap_group):
-            for member in world.directory.group(pair.ldap_group).members:
-                email = world.cloud.active_mirror_for(member)
-                if email is not None:
-                    desired.add(sa_principal(email))
+            members = world.directory.group(pair.ldap_group).members
+            desired = {sa_principal(first_active[m]) for m in members if m in first_active}
         if not world.cloud.has_node(pair.cloud_group):
             continue  # already reported by the safety tier
         current = {

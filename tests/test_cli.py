@@ -310,6 +310,16 @@ def test_audit_tail_rejects_a_negative_count(statefile, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("org_unit", ["gs://evil", "", "Dev"])
+def test_add_user_rejects_a_bad_org_unit(statefile, capsys, org_unit):
+    # Each would name a folder and project the placement rule cannot use or
+    # share: gs:// is stripped from the project id, "" gives "-service-...",
+    # and "Dev" shares folder DEVIAM with "dev".
+    assert run("dir", "add-user", "ana", "--kind", "human", "--org-unit", org_unit) == 1
+    assert capsys.readouterr().err == f"error: InvalidName: illegal org unit {org_unit!r}\n"
+    assert run("dir", "show", "ana") == 1
+
+
 def test_onboarding_without_an_organization_is_a_command_error(statefile, tmp_path, capsys):
     run("dir", "add-group", "mirror-account-users")
     run("dir", "add-user", "helen", "--kind", "human",
@@ -396,6 +406,13 @@ def test_reconcile_ticks_runs_and_advances_per_tick(walked, capsys):
 def test_reconcile_zero_ticks_prints_nothing(walked, capsys):
     before = walked.read_bytes()
     assert run("reconcile", "--ticks", "0") == 0
+    assert capsys.readouterr().out == ""
+    assert walked.read_bytes() == before
+
+
+def test_reconcile_rejects_a_negative_tick_count(walked, capsys):
+    before = walked.read_bytes()
+    assert run("reconcile", "--ticks", "-1") == 1
     assert capsys.readouterr().out == ""
     assert walked.read_bytes() == before
 

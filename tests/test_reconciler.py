@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mirrorplane import (
@@ -117,6 +119,22 @@ def test_retiring_keys_phase_out_after_grace(converged):
     converged.reconciler.reconcile_tick()
     states = [v.state for v in converged.vault.entry(mirror("helen")).versions]
     assert states == [KeyState.ACTIVE, KeyState.INVALID]
+
+
+def test_tick_expires_a_retiring_key_with_no_retiring_since(converged):
+    # The codec accepts such a version; its grace window cannot be shown.
+    converged.advance(converged.config.rotation_age)
+    converged.reconciler.reconcile_tick()
+    data = json.loads(converged.export_text(reveal_secrets=True))
+    entry = next(e for e in data["vault"]["entries"] if e["account_email"] == mirror("helen"))
+    entry["versions"][1]["retiring_since"] = None
+    world = World.from_dict(data)
+
+    world.reconciler.reconcile_tick()
+    states = [v.state for v in world.vault.entry(mirror("helen")).versions]
+    assert states == [KeyState.ACTIVE, KeyState.INVALID]
+    expired = [e.target for e in world.audit if e.action == "vault.expire_key"]
+    assert expired == [mirror("helen") + "#v1"]
 
 
 def test_leaving_group_decommissions(converged):

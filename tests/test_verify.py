@@ -331,6 +331,18 @@ def test_history_not_ending_at_current_state_is_caught(converged):
     ]
 
 
+def test_retiring_version_without_retiring_since_is_caught(converged):
+    converged.advance(converged.config.rotation_age)
+    converged.reconciler.reconcile_tick()  # helen's v1 starts retiring
+
+    def edit(data):
+        data["vault"]["entries"][0]["versions"][1]["retiring_since"] = None
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("LifecycleViolation", mirror("helen") + "#v1"),
+    ]
+
+
 def test_bucket_id_that_does_not_round_trip_is_caught(provisioned):
     # helen's mapping points at a bucket her mirror owns under a foreign id.
     def edit(data):
