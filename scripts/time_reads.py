@@ -2,15 +2,18 @@
 
 Builds the benchmark's operator-cli world at 1k, 2k and 4k principals through
 ``bench/workloads.operator_cli_setup`` (buckets and reserve scale with the
-principals, as in the 1k benchmark), loads it back from its state file and
-records the median wall time of several calls of ``verify_world``,
-``verify_world(..., True)`` and ``Cloud.render_tree``.  Each run is stored in
-the output file under a label, so two source trees can be compared:
+principals, as in the 1k benchmark) and loads each back from its state file.
+Then, in each of several rounds, it takes the median wall time of a few calls
+of ``verify_world``, ``verify_world(..., True)`` and ``Cloud.render_tree`` on
+every size, so the sizes of one round share the state of the host.  Each run
+is stored in the output file under a label, so two source trees can be
+compared:
 
     python scripts/time_reads.py --src /path/to/other/checkout/src --label parent
     python scripts/time_reads.py --label change
 
-The output also holds, per label, the 4k/1k ratio of each median.
+Per label the output holds every round's median, the median over the rounds,
+and the 4k/1k ratio of each round with its median and range.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1000, 2000, 4000)
-REPEATS = 15
+READS = ("verify_s", "verify_converged_s", "render_tree_s")
+REPEATS = 9
 
 
-def time_reads(principals: int) -> dict:
-    from mirrorplane.verify import verify_world
+def build(principals: int) -> tuple[object, dict]:
     from mirrorplane.world import World
     from workloads import Run, Scale, operator_cli_setup
 
@@ -46,21 +49,17 @@ def time_reads(principals: int) -> dict:
         if run.failed:
             raise SystemExit(f"world build at {principals} disagrees with the model: {run.mismatches}")
         world = World.load(state)
-    reads = {
-        "verify_s": lambda: verify_world(world),
-        "verify_converged_s": lambda: verify_world(world, True),
-        "render_tree_s": world.cloud.render_tree,
-    }
-    result: dict = {"build_s": round(build_s, 2), "nodes": len(world.cloud.nodes())}
-    for name, read in reads.items():
-        samples = []
-        for _ in range(REPEATS):
-            gc.collect()
-            begin = time.perf_counter()
-            read()
-            samples.append(time.perf_counter() - begin)
-        result[name] = round(statistics.median(samples), 4)
-    return result
+    return world, {"build_s": round(build_s, 2), "nodes": len(world.cloud.nodes())}
+
+
+def median_call(read) -> float:
+    samples = []
+    for _ in range(REPEATS):
+        gc.collect()
+        begin = time.perf_counter()
+        read()
+        samples.append(time.perf_counter() - begin)
+    return statistics.median(samples)
 
 
 def main() -> None:
@@ -68,18 +67,43 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="Source tree whose mirrorplane package is timed.")
     parser.add_argument("--label", required=True, help="Key of this run in the output file.")
+    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_reads.json")
     args = parser.parse_args()
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+    from mirrorplane.verify import verify_world
 
-    sizes = {str(n): time_reads(n) for n in SIZES}
-    first, last = sizes[str(SIZES[0])], sizes[str(SIZES[-1])]
-    ratios = {name: round(last[name] / first[name], 1)
-              for name in ("verify_s", "verify_converged_s", "render_tree_s")}
+    built = {n: build(n) for n in SIZES}
+    rounds: dict[int, dict[str, list[float]]] = {n: {r: [] for r in READS} for n in SIZES}
+    for _ in range(args.rounds):
+        for n, (world, _info) in built.items():
+            reads = {
+                "verify_s": lambda: verify_world(world),
+                "verify_converged_s": lambda: verify_world(world, True),
+                "render_tree_s": world.cloud.render_tree,
+            }
+            for name in READS:
+                rounds[n][name].append(median_call(reads[name]))
+
+    sizes = {}
+    for n, (_world, info) in built.items():
+        sizes[str(n)] = dict(info, **{
+            name: {"median": round(statistics.median(times), 4),
+                   "rounds": [round(t, 4) for t in times]}
+            for name, times in rounds[n].items()
+        })
+    ratios = {}
+    for name in READS:
+        per_round = [last / first for first, last in
+                     zip(rounds[SIZES[0]][name], rounds[SIZES[-1]][name])]
+        ratios[name] = {"median": round(statistics.median(per_round), 1),
+                        "range": [round(min(per_round), 1), round(max(per_round), 1)],
+                        "rounds": [round(r, 1) for r in per_round]}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["method"] = (
-        f"median of {REPEATS} calls on the world operator_cli_setup writes at seed 1, "
-        "loaded back from its state file; gc.collect() before each call"
+        f"{args.rounds} rounds over the worlds operator_cli_setup writes at seed 1, loaded back "
+        f"from their state files; each round times every size, each time the median of "
+        f"{REPEATS} calls with gc.collect() before each call"
     )
     data.setdefault("runs", {})[args.label] = {
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",

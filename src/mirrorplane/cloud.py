@@ -14,7 +14,6 @@ writer; queries are read-only.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -341,11 +340,9 @@ class Cloud:
         org = self.organization()
         if org is None:
             return "(no organization)"
-        children: dict[str | None, list[ResourceNode]] = {}  # each list in children() order
-        for node in sorted(self._nodes.values(), key=lambda n: (n.kind.value, n.id)):
-            children.setdefault(node.parent, []).append(node)
+        lines: list[str] = []
 
-        def walk(node: ResourceNode, depth: int) -> Iterator[str]:
+        def walk(node: ResourceNode, depth: int) -> None:
             label = node.id
             if node.kind is NodeKind.BUCKET:
                 label = BUCKET_SCHEME + node.id
@@ -357,11 +354,12 @@ class Cloud:
                 acct = self._accounts.get(node.id)
                 if acct is not None:
                     suffix = f" ({acct.status.value})"
-            yield f"{'  ' * depth}{node.kind.value}: {label}{suffix}"
-            for child in children.get(node.id, []):
-                yield from walk(child, depth + 1)
+            lines.append(f"{'  ' * depth}{node.kind.value}: {label}{suffix}")
+            for child in self.children(node.id):
+                walk(child, depth + 1)
 
-        return "\n".join(walk(org, 0))
+        walk(org, 0)
+        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         return encode({

@@ -27,8 +27,8 @@ SOURCE_OF_TRUTH_GROUP = "mirror-account-users"
 # Principal names follow LDAP/cloud naming limits.  Group names additionally
 # allow dots because reader groups are derived from bucket ids
 # ("reader-user.<name>.dp.domain").
-PRINCIPAL_NAME_RE = re.compile(r"^[a-z0-9_-]{1,63}$")
-GROUP_NAME_RE = re.compile(r"^[a-z0-9_.-]{1,63}$")
+PRINCIPAL_NAME_RE = re.compile(r"[a-z0-9_-]{1,63}")
+GROUP_NAME_RE = re.compile(r"[a-z0-9_.-]{1,63}")
 
 
 class PrincipalKind(str, Enum):
@@ -97,9 +97,9 @@ class Directory:
         hdfs_home: str | None = None,
         org_unit: str = "general",
     ) -> PrincipalRecord:
-        if not PRINCIPAL_NAME_RE.match(name or ""):
+        if not PRINCIPAL_NAME_RE.fullmatch(name or ""):
             raise InvalidName(f"illegal principal name {name!r}")
-        if not PRINCIPAL_NAME_RE.match(org_unit or ""):
+        if not PRINCIPAL_NAME_RE.fullmatch(org_unit or ""):
             raise InvalidName(f"illegal org unit {org_unit!r}")
         if name in self._principals:
             raise DuplicateName(f"principal {name!r} already exists")
@@ -116,7 +116,7 @@ class Directory:
         return record
 
     def add_group(self, name: str) -> DirectoryGroup:
-        if not GROUP_NAME_RE.match(name or ""):
+        if not GROUP_NAME_RE.fullmatch(name or ""):
             raise InvalidName(f"illegal group name {name!r}")
         if name in self._groups:
             raise DuplicateName(f"group {name!r} already exists")

@@ -310,11 +310,11 @@ def test_audit_tail_rejects_a_negative_count(statefile, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("org_unit", ["gs://evil", "", "Dev"])
+@pytest.mark.parametrize("org_unit", ["gs://evil", "", "Dev", "dev\n"])
 def test_add_user_rejects_a_bad_org_unit(statefile, capsys, org_unit):
     # Each would name a folder and project the placement rule cannot use or
     # share: gs:// is stripped from the project id, "" gives "-service-...",
-    # and "Dev" shares folder DEVIAM with "dev".
+    # "Dev" shares folder DEVIAM with "dev", and "dev\n" splits tree lines.
     assert run("dir", "add-user", "ana", "--kind", "human", "--org-unit", org_unit) == 1
     assert capsys.readouterr().err == f"error: InvalidName: illegal org unit {org_unit!r}\n"
     assert run("dir", "show", "ana") == 1

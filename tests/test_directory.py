@@ -41,6 +41,14 @@ def test_illegal_principal_names(world, name):
         world.directory.add_principal(name, PrincipalKind.HUMAN, None)
 
 
+def test_a_trailing_newline_is_not_part_of_a_legal_name(world):
+    # "$" alone would let "helen\n" through and split audit and tree lines.
+    with pytest.raises(InvalidName):
+        world.directory.add_principal("helen\n", PrincipalKind.HUMAN, None)
+    with pytest.raises(InvalidName):
+        world.directory.add_group("readers\n")
+
+
 @pytest.mark.parametrize("name", ["a", "a" * 63, "data_pipeline", "x-1_y"])
 def test_legal_principal_names(world, name):
     # Underscores are legal on-premise; only mirror derivation rejects them.
