@@ -541,7 +541,7 @@ def state_export(session: Session, reveal_secrets: bool, output: str | None) -> 
     if output is None:
         click.echo(text, nl=False)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        write_atomic(output, text)
         click.echo(f"exported to {output}")
 
 
@@ -574,10 +574,7 @@ def scenario_run(session: Session, script: str, strict: bool,
     for entry in entries:
         click.echo(entry.render())
     if transcript_out is not None:
-        Path(transcript_out).write_text(
-            canonical_json(encode({"entries": entries})),
-            encoding="utf-8",
-        )
+        write_atomic(transcript_out, canonical_json(encode({"entries": entries})))
     failed = [e for e in entries if e.status == "error"]
     if strict and failed:
         raise ControlPlaneError(

@@ -290,8 +290,8 @@ class Cloud:
         self._audit.mutation("cloud.create_service_account", email)
         return email
 
-    def bind_role(self, node_id: str, role: Role, principal: str) -> RoleBinding:
-        """Attach a binding; re-binding the same (role, principal) is a no-op."""
+    def bind_role(self, node_id: str, role: Role, principal: str) -> bool:
+        """Attach a binding if absent; returns whether anything changed."""
         node = self.node(node_id)
         if node.kind is not LEGAL_ROLE_NODES[role]:
             raise IllegalRoleForNode(
@@ -299,10 +299,10 @@ class Cloud:
             )
         binding = RoleBinding(role=role, principal=principal)
         if binding in node.bindings:
-            return binding
+            return False
         node.bindings.append(binding)
         self._audit.mutation(f"cloud.bind_role.{role.value}", f"{node_id}:{principal}")
-        return binding
+        return True
 
     def unbind_role(self, node_id: str, role: Role, principal: str) -> bool:
         """Detach a binding if present; returns whether anything changed."""
@@ -347,7 +347,7 @@ class Cloud:
             if node.kind is NodeKind.BUCKET:
                 label = BUCKET_SCHEME + node.id
             suffix = ""
-            if node.kind is NodeKind.PROJECT:
+            if node.kind is NodeKind.PROJECT and node.id in self._quotas:
                 q = self._quotas[node.id]
                 suffix = f" [{q.current_count}/{q.max_service_accounts} accounts]"
             if node.kind is NodeKind.SERVICE_ACCOUNT:
@@ -356,7 +356,10 @@ class Cloud:
                     suffix = f" ({acct.status.value})"
             lines.append(f"{'  ' * depth}{node.kind.value}: {label}{suffix}")
             for child in self.children(node.id):
-                walk(child, depth + 1)
+                # Each other node has one parent, so only an organization
+                # parented inside its own tree could be reached twice.
+                if child is not org:
+                    walk(child, depth + 1)
 
         walk(org, 0)
         return "\n".join(lines)

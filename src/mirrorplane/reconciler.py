@@ -11,14 +11,15 @@ property tests assert.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .audit import AuditLog
-from .cloud import Cloud, Role, mirror_email, workspace_principal
+from .cloud import AccountStatus, Cloud, Role, mirror_email, workspace_principal
 from .codec import decode, encode
-from .directory import Directory, PrincipalRecord
+from .directory import PRINCIPAL_NAME_RE, SOURCE_OF_TRUTH_GROUP, Directory, PrincipalRecord
 from .durations import DAY, MINUTE, format_duration, parse_duration
 from .errors import (
     ControlPlaneError,
@@ -59,6 +60,8 @@ class ReconcileConfig:
             raise ValueError("retiring_grace must be positive")
         if self.quota_default < 1:
             raise ValueError("quota_default must be positive")
+        if not PRINCIPAL_NAME_RE.fullmatch(self.base_project):
+            raise ValueError(f"illegal base_project {self.base_project!r}")
 
     def describe(self) -> str:
         return " ".join(
@@ -197,19 +200,17 @@ class Reconciler:
 
     # -- decommission --------------------------------------------------------
 
-    def decommission(self, principal: str) -> dict:
+    def decommission(self, principal: str) -> None:
         """Disable the principal's mirror, kill its keys, strip ActAs grants."""
         email = self.cloud.active_mirror_for(principal)
         if email is None:
             raise NoMirror(f"{principal!r} has no active mirror account")
         self.cloud.disable_service_account(email)
-        revoked = self.vault.revoke_all(email) if self.vault.has_entry(email) else 0
-        removed = []
+        if self.vault.has_entry(email):
+            self.vault.revoke_all(email)
         node = self.cloud.node(email)
         for binding in [b for b in node.bindings if b.role is Role.ACT_AS]:
             self.cloud.unbind_role(email, Role.ACT_AS, binding.principal)
-            removed.append(binding.principal)
-        return {"account": email, "keys_invalidated": revoked, "actas_removed": removed}
 
     # -- the tick --------------------------------------------------------------
 
@@ -226,37 +227,40 @@ class Reconciler:
         try:
             members = self.directory.verify_source_group()
         except (GroupMissing, GroupEmpty) as exc:
-            self._audit.control("reconcile.abort", "mirror-account-users")
+            self._audit.control("reconcile.abort", SOURCE_OF_TRUTH_GROUP)
             report.errors.append({"error": exc.name, "message": str(exc)})
             return
 
-        # (2) Converge each member, isolating per-account failures.
+        # (2) Converge each member.
         for member in members:
-            try:
+            with self._step(member, report):
                 self._converge_member(member, report)
-            except UnderscoreNotSupported:
-                report.rejected.append(
-                    {"principal": member, "reason": "UnderscoreNotSupported"}
-                )
-                self._audit.control("reconcile.reject_underscore", member)
-            except ControlPlaneError as exc:
-                report.errors.append(
-                    {"principal": member, "error": exc.name, "message": str(exc)}
-                )
-                self._audit.control("reconcile.error", member)
 
         # (3) Decommission mirrors whose source left the group or the directory.
         current = set(members)
         for acct in self.cloud.accounts():
-            if acct.status.value != "active":
+            if acct.status is not AccountStatus.ACTIVE:
                 continue
             src = acct.source_principal
             if src not in current or not self.directory.has_principal(src):
-                self.decommission(src)
-                report.decommissioned.append(acct.email)
+                with self._step(src, report):
+                    self.decommission(src)
+                    report.decommissioned.append(acct.email)
 
         # (4) Phase out retiring keys whose grace window elapsed.
         self.vault.expire_versions(report.at, self.config.retiring_grace)
+
+    @contextmanager
+    def _step(self, principal: str, report: ReconcileReport) -> Iterator[None]:
+        """Run one principal's step; a failure is reported against it and the tick goes on."""
+        try:
+            yield
+        except UnderscoreNotSupported:
+            report.rejected.append({"principal": principal, "reason": "UnderscoreNotSupported"})
+            self._audit.control("reconcile.reject_underscore", principal)
+        except ControlPlaneError as exc:
+            report.errors.append({"principal": principal, "error": exc.name, "message": str(exc)})
+            self._audit.control("reconcile.error", principal)
 
     def run_ticks(self, count: int, advance: Callable[[int], int]) -> list[ReconcileReport]:
         """Simulate the scheduler: tick, then advance one interval, repeated."""
@@ -284,27 +288,20 @@ class Reconciler:
                 project, f"{member}-mirror", source_principal=member
             )
 
-        # A new mirror always gets a fresh key; an existing one is re-keyed
-        # when it has none active (a store that failed on an earlier tick).
+        # A new mirror gets a fresh key, and so does an existing one with no
+        # active key (a store failed on an earlier tick) or one past rotation_age.
         # A mirror counts as created only once it holds a key, so a failed
         # store shows as this member's error and the repair as a rotation.
         active = None if created else self.vault.active_version(email)
-        if active is None:
+        if active is None or report.at - active.created_at >= self.config.rotation_age:
             self.vault.store_key(email, member, self.secrets.next_secret())
             (report.created if created else report.rotated).append(email)
 
         # Alg-style unconditional ActAs grant for humans; the binding is
         # idempotent and only a genuinely new grant is reported.
         if record.has_workspace_identity:
-            principal = workspace_principal(member)
-            newly = not self.cloud.has_binding(email, Role.ACT_AS, principal)
-            self.cloud.bind_role(email, Role.ACT_AS, principal)
-            if newly:
+            if self.cloud.bind_role(email, Role.ACT_AS, workspace_principal(member)):
                 report.actas_granted.append(email)
-
-        if active is not None and report.at - active.created_at >= self.config.rotation_age:
-            self.vault.store_key(email, member, self.secrets.next_secret())
-            report.rotated.append(email)
 
     # -- serialization -------------------------------------------------------
 

@@ -22,7 +22,6 @@ from .errors import UnmappablePath
 from .vault import KeyState
 from .world import World
 
-_LIFECYCLE_ORDER = [KeyState.ACTIVE.value, KeyState.RETIRING.value, KeyState.INVALID.value]
 Bound = tuple[ResourceNode, RoleBinding]
 
 
@@ -116,7 +115,8 @@ def _check_tree(world: World, nodes: list[ResourceNode], out: list[Violation]) -
 
 def _check_quotas(world: World, nodes: list[ResourceNode], out: list[Violation]) -> None:
     counts = Counter(n.parent for n in nodes if n.kind is NodeKind.SERVICE_ACCOUNT and n.parent)
-    for quota in world.cloud.quotas():
+    quotas = {quota.project: quota for quota in world.cloud.quotas()}
+    for quota in quotas.values():
         actual = counts[quota.project]
         if actual != quota.current_count:
             out.append(Violation(
@@ -128,6 +128,9 @@ def _check_quotas(world: World, nodes: list[ResourceNode], out: list[Violation])
                 "QuotaViolation", quota.project,
                 f"{quota.current_count} accounts exceed limit {quota.max_service_accounts}",
             ))
+    for node in nodes:
+        if node.kind is NodeKind.PROJECT and node.id not in quotas:
+            out.append(Violation("QuotaViolation", node.id, "project has no quota record"))
 
 
 def _check_mirrors(world: World, accounts: list[MirrorAccount], out: list[Violation]) -> None:
@@ -196,16 +199,13 @@ def _check_vault(world: World, out: list[Violation]) -> None:
                 out.append(Violation(
                     "OwnershipViolation", version.key_id, "version belongs to another entry",
                 ))
-            if version.state.value != version.state_history[-1]:
+            history = version.state_history
+            if history[-1:] != [version.state.value]:
                 out.append(Violation(
                     "LifecycleViolation", version.key_id,
                     "recorded history does not end at the current state",
                 ))
-            indices = [_LIFECYCLE_ORDER.index(s) for s in version.state_history
-                       if s in _LIFECYCLE_ORDER]
-            if (len(indices) != len(version.state_history)
-                    or indices != sorted(indices)
-                    or len(set(version.state_history)) != len(version.state_history)):
+            if history != [state.value for state in KeyState if state.value in history]:
                 out.append(Violation(
                     "LifecycleViolation", version.key_id,
                     f"transitions ran backwards: {version.state_history}",

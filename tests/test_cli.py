@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,42 @@ def test_add_user_rejects_a_bad_org_unit(statefile, capsys, org_unit):
     assert run("dir", "add-user", "ana", "--kind", "human", "--org-unit", org_unit) == 1
     assert capsys.readouterr().err == f"error: InvalidName: illegal org unit {org_unit!r}\n"
     assert run("dir", "show", "ana") == 1
+
+
+@pytest.mark.parametrize("base_project", ["gs://evil", "", "Bad", "x\n"])
+def test_a_bad_base_project_is_refused_by_init_and_import(tmp_path, monkeypatch, capsys,
+                                                         base_project):
+    # gs:// is stripped from the project id but not from the quota lookup, so
+    # every tick failed; "" named a project "" and mirrors "...@.iam...".
+    monkeypatch.chdir(tmp_path)
+    assert run("init", "--base-project", base_project) == 1
+    assert "error: ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "world.json").exists()
+
+    assert run("init") == 0
+    snapshot = tmp_path / "snapshot.json"
+    assert run("state", "export", "-o", str(snapshot)) == 0
+    data = json.loads(snapshot.read_text(encoding="utf-8"))
+    data["config"]["base_project"] = base_project
+    snapshot.write_text(json.dumps(data), encoding="utf-8")
+    before = (tmp_path / "world.json").read_bytes()
+    capsys.readouterr()
+    assert run("state", "import", str(snapshot)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError") and "(at /config)" in err
+    assert (tmp_path / "world.json").read_bytes() == before
+
+
+def test_exports_and_transcripts_are_owner_only(statefile, tmp_path):
+    export, transcript = tmp_path / "export.json", tmp_path / "transcript.json"
+    umask = os.umask(0o022)
+    try:
+        assert run("scenario", "run", str(WALKTHROUGH), "--transcript", str(transcript)) == 0
+        assert run("state", "export", "--reveal-secrets", "-o", str(export)) == 0
+    finally:
+        os.umask(umask)
+    assert export.stat().st_mode & 0o777 == 0o600
+    assert transcript.stat().st_mode & 0o777 == 0o600
 
 
 def test_onboarding_without_an_organization_is_a_command_error(statefile, tmp_path, capsys):

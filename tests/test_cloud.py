@@ -118,6 +118,12 @@ def test_bind_role_idempotent(cloud):
     assert len(cloud._audit) == events  # re-grant is not a mutation
 
 
+def test_bind_role_reports_whether_it_added_the_binding(cloud):
+    email = cloud.create_service_account(SAP, "helen-mirror", "helen")
+    assert cloud.bind_role(email, Role.ACT_AS, workspace_principal("helen")) is True
+    assert cloud.bind_role(email, Role.ACT_AS, workspace_principal("helen")) is False
+
+
 def test_unbind_role(cloud):
     email = cloud.create_service_account(SAP, "helen-mirror", "helen")
     principal = workspace_principal("helen")

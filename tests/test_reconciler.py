@@ -223,6 +223,39 @@ def test_member_errors_do_not_abort_tick(populated):
     assert report.created == [mirror("posts-analyze")]
 
 
+def test_failed_decommission_does_not_end_the_tick(populated):
+    populated.directory.add_principal("ops", PrincipalKind.HEADLESS, None)
+    populated.directory.join_group(SOURCE_OF_TRUTH_GROUP, "ops")
+    populated.reconciler.reconcile_tick()
+    populated.vault.store_key(mirror("ops"), "ops", "ab" * 16)  # ops' v1 starts retiring
+    populated.advance(populated.config.retiring_grace)
+    populated.directory.leave_group(SOURCE_OF_TRUTH_GROUP, "helen")
+    populated.directory.leave_group(SOURCE_OF_TRUTH_GROUP, "posts-analyze")
+    data = json.loads(populated.export_text(reveal_secrets=True))
+    data["cloud"]["nodes"] = [n for n in data["cloud"]["nodes"] if n["id"] != mirror("helen")]
+    world = World.from_dict(data)
+
+    report = world.reconciler.reconcile_tick()
+    assert [(e["principal"], e["error"]) for e in report.errors] == [("helen", "UnknownNode")]
+    errors = [(e.action, e.target) for e in world.audit.query(tick_id=2, action="reconcile")]
+    assert errors == [("reconcile.error", "helen")]
+    assert report.decommissioned == [mirror("posts-analyze")]
+    states = [v.state for v in world.vault.entry(mirror("ops")).versions]
+    assert states == [KeyState.ACTIVE, KeyState.INVALID]
+    assert world.reconciler.reconcile_tick().tick_id == 3
+
+
+def test_rotation_is_stored_before_a_restored_actas_grant(converged):
+    converged.cloud.unbind_role(mirror("helen"), Role.ACT_AS, workspace_principal("helen"))
+    converged.advance(converged.config.rotation_age)
+    report = converged.reconciler.reconcile_tick()
+    helen = [e.action for e in converged.audit.query(tick_id=report.tick_id)
+             if e.target.startswith(mirror("helen"))]
+    assert helen == ["vault.store_key", "cloud.bind_role.act-as"]
+    assert mirror("helen") in report.rotated
+    assert report.actas_granted == [mirror("helen")]
+
+
 def test_report_entries_map_to_audit_events(converged):
     converged.advance(converged.config.rotation_age)
     converged.directory.add_principal("newbie", PrincipalKind.HUMAN, None)

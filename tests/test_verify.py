@@ -266,6 +266,7 @@ def test_parentless_node_and_its_child_are_caught(world):
     assert found(verify_world(corrupt(world, edit))) == [
         ("TreeViolation", "loose"),          # no parent
         ("TreeViolation", "loose-project"),  # walk ends off-root
+        ("QuotaViolation", "loose-project"),  # no quota record
     ]
 
 
@@ -328,6 +329,16 @@ def test_history_not_ending_at_current_state_is_caught(converged):
 
     assert found(verify_world(corrupt(converged, edit))) == [
         ("LifecycleViolation", mirror("helen") + "#v1"),
+    ]
+
+
+def test_empty_state_history_is_caught(converged):
+    def edit(data):
+        data["vault"]["entries"][0]["versions"][0]["state_history"] = []
+
+    assert [v.render() for v in verify_world(corrupt(converged, edit))] == [
+        f"LifecycleViolation [{mirror('helen')}#v1]: "
+        "recorded history does not end at the current state",
     ]
 
 
@@ -464,3 +475,43 @@ def test_rendered_output_of_many_binding_plantings(provisioned):
     assert rendered == safety
     rendered = [v.render() for v in verify_world(corrupted, include_convergence=True)]
     assert rendered == safety + convergence
+
+
+# -- worlds that import, which `cloud tree` must still print ----------------------
+
+
+def test_projects_without_quota_records(provisioned):
+    def edit(data):
+        data["cloud"]["quotas"] = []
+
+    corrupted = corrupt(provisioned, edit)
+    assert [v.render() for v in verify_world(corrupted)] == [
+        f"QuotaViolation [{SAP}]: project has no quota record",
+        "QuotaViolation [shared-gcs-storage-project]: project has no quota record",
+    ]
+    assert corrupted.cloud.render_tree().splitlines() == [
+        "organization: org",
+        f"  cloud-group: {cloud_reader_group(HELEN_BUCKET)}",
+        f"  cloud-group: {cloud_reader_group(POSTS_BUCKET)}",
+        "  folder: DATASTORE",
+        "    project: shared-gcs-storage-project",
+        f"      bucket: gs://{HELEN_BUCKET}",
+        f"      bucket: gs://{POSTS_BUCKET}",
+        "  folder: IAMSTORE",
+        f"    project: {SAP}",
+        f"      service-account: {mirror('helen')} (active)",
+        f"      service-account: {mirror('posts-analyze')} (active)",
+    ]
+
+
+def test_organization_parented_under_its_own_folder_prints_once(converged):
+    def edit(data):
+        node_of(data, "org")["parent"] = "IAMSTORE"
+
+    assert corrupt(converged, edit).cloud.render_tree().splitlines() == [
+        "organization: org",
+        "  folder: IAMSTORE",
+        f"    project: {SAP} [2/100 accounts]",
+        f"      service-account: {mirror('helen')} (active)",
+        f"      service-account: {mirror('posts-analyze')} (active)",
+    ]
