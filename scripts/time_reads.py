@@ -1,8 +1,9 @@
 """Time `verify`, `verify --converged` and `cloud tree` on the operator-cli world.
 
-Builds the benchmark's operator-cli world at 1k, 2k and 4k principals through
-``bench/workloads.operator_cli_setup`` (buckets and reserve scale with the
-principals, as in the 1k benchmark) and loads each back from its state file.
+Builds the benchmark's operator-cli world at 1k, 2k and 4k principals (or at
+the ``--sizes`` given) through ``bench/workloads.operator_cli_setup`` (buckets
+and reserve scale with the principals, as in the 1k benchmark) and loads each
+back from its state file.
 Then, in each of several rounds, it takes the median wall time of a few calls
 of ``verify_world``, ``verify_world(..., True)`` and ``Cloud.render_tree`` on
 every size, so the sizes of one round share the state of the host.  Each run
@@ -13,7 +14,8 @@ compared:
     python scripts/time_reads.py --label change
 
 Per label the output holds every round's median, the median over the rounds,
-and the 4k/1k ratio of each round with its median and range.
+and the ratio of the largest size to the smallest in each round, with its
+median and range.
 """
 
 from __future__ import annotations
@@ -68,13 +70,14 @@ def main() -> None:
                         help="Source tree whose mirrorplane package is timed.")
     parser.add_argument("--label", required=True, help="Key of this run in the output file.")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_reads.json")
     args = parser.parse_args()
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
     from mirrorplane.verify import verify_world
 
-    built = {n: build(n) for n in SIZES}
-    rounds: dict[int, dict[str, list[float]]] = {n: {r: [] for r in READS} for n in SIZES}
+    built = {n: build(n) for n in args.sizes}
+    rounds: dict[int, dict[str, list[float]]] = {n: {r: [] for r in READS} for n in args.sizes}
     for _ in range(args.rounds):
         for n, (world, _info) in built.items():
             reads = {
@@ -92,10 +95,10 @@ def main() -> None:
                    "rounds": [round(t, 4) for t in times]}
             for name, times in rounds[n].items()
         })
+    first, last = args.sizes[0], args.sizes[-1]
     ratios = {}
     for name in READS:
-        per_round = [last / first for first, last in
-                     zip(rounds[SIZES[0]][name], rounds[SIZES[-1]][name])]
+        per_round = [b / a for a, b in zip(rounds[first][name], rounds[last][name])]
         ratios[name] = {"median": round(statistics.median(per_round), 1),
                         "range": [round(min(per_round), 1), round(max(per_round), 1)],
                         "rounds": [round(r, 1) for r in per_round]}
@@ -108,7 +111,7 @@ def main() -> None:
     data.setdefault("runs", {})[args.label] = {
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "sizes": sizes,
-        f"ratio_{SIZES[-1]}_to_{SIZES[0]}": ratios,
+        f"ratio_{last}_to_{first}": ratios,
     }
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data["runs"][args.label], indent=2, sort_keys=True))

@@ -132,6 +132,8 @@ class Cloud:
         self._nodes: dict[str, ResourceNode] = {}
         self._accounts: dict[str, MirrorAccount] = {}
         self._quotas: dict[str, ProjectQuota] = {}
+        # Derived from _accounts, never serialized: source -> its Active emails.
+        self._active: dict[str, set[str]] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -181,14 +183,11 @@ class Cloud:
     def active_mirror_for(self, source_principal: str) -> str | None:
         """Email of the source's Active mirror, or None.
 
-        The 1:1 invariant keeps this unambiguous; iteration is sorted so a
-        (never expected) violation would still resolve deterministically.
+        The 1:1 invariant keeps this unambiguous; a (never expected) violation
+        still resolves deterministically, to the lowest email.
         """
-        for email in sorted(self._accounts):
-            acct = self._accounts[email]
-            if acct.source_principal == source_principal and acct.status is AccountStatus.ACTIVE:
-                return email
-        return None
+        emails = self._active.get(source_principal)
+        return min(emails) if emails else None
 
     def quota(self, project: str) -> ProjectQuota:
         try:
@@ -287,6 +286,7 @@ class Cloud:
         self._accounts[email] = MirrorAccount(
             email=email, source_principal=source_principal, project=project
         )
+        self._active.setdefault(source_principal, set()).add(email)
         self._audit.mutation("cloud.create_service_account", email)
         return email
 
@@ -319,6 +319,7 @@ class Cloud:
         if acct.status is AccountStatus.DISABLED:
             raise AlreadyDisabled(f"{email} is already disabled")
         acct.status = AccountStatus.DISABLED
+        self._active[acct.source_principal].discard(email)
         self._audit.mutation("cloud.disable_service_account", email)
         return acct
 
@@ -376,4 +377,8 @@ class Cloud:
         self.default_quota = data.get("default_quota", DEFAULT_QUOTA)
         self._nodes = {n.id: n for n in decode(list[ResourceNode], data["nodes"])}
         self._accounts = {a.email: a for a in decode(list[MirrorAccount], data["accounts"])}
+        self._active = {}
+        for acct in self._accounts.values():
+            if acct.status is AccountStatus.ACTIVE:
+                self._active.setdefault(acct.source_principal, set()).add(acct.email)
         self._quotas = {q.project: q for q in decode(list[ProjectQuota], data["quotas"])}

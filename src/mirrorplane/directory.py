@@ -8,6 +8,7 @@ source-of-truth group against existing mirrors on its next tick.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,6 +62,9 @@ class Directory:
         self._audit = audit
         self._principals: dict[str, PrincipalRecord] = {}
         self._groups: dict[str, DirectoryGroup] = {}
+        # Derived from each member list, never serialized: how often it holds
+        # each name (a loaded list may hold one twice, which verify reports).
+        self._counts: dict[str, Counter[str]] = {}
 
     # -- introspection --------------------------------------------------
 
@@ -87,6 +91,10 @@ class Directory:
 
     def groups(self) -> list[DirectoryGroup]:
         return [self._groups[name] for name in sorted(self._groups)]
+
+    def is_member(self, group_name: str, principal: str) -> bool:
+        self.group(group_name)
+        return self._counts[group_name][principal] > 0
 
     # -- mutations ------------------------------------------------------
 
@@ -122,6 +130,7 @@ class Directory:
             raise DuplicateName(f"group {name!r} already exists")
         group = DirectoryGroup(name=name)
         self._groups[name] = group
+        self._counts[name] = Counter()
         self._audit.mutation("directory.add_group", name)
         return group
 
@@ -130,8 +139,10 @@ class Directory:
         group = self.group(group_name)
         if principal not in self._principals:
             raise UnknownPrincipal(f"no principal named {principal!r}")
-        if principal not in group.members:
+        counts = self._counts[group_name]
+        if not counts[principal]:
             group.members.append(principal)
+            counts[principal] += 1
             self._audit.mutation("directory.join_group", f"{group_name}:{principal}")
         return group
 
@@ -140,8 +151,10 @@ class Directory:
         group = self.group(group_name)
         if principal not in self._principals:
             raise UnknownPrincipal(f"no principal named {principal!r}")
-        if principal in group.members:
+        counts = self._counts[group_name]
+        if counts[principal]:
             group.members.remove(principal)
+            counts[principal] -= 1
             self._audit.mutation("directory.leave_group", f"{group_name}:{principal}")
         return group
 
@@ -155,8 +168,9 @@ class Directory:
             raise UnknownPrincipal(f"no principal named {name!r}")
         removed_from = []
         for group in self._groups.values():
-            if name in group.members:
+            if self._counts[group.name][name]:
                 group.members.remove(name)
+                self._counts[group.name][name] -= 1
                 removed_from.append(group.name)
         del self._principals[name]
         self._audit.mutation("directory.remove_principal", name)
@@ -185,3 +199,4 @@ class Directory:
     def load_state(self, data: dict) -> None:
         self._principals = {p.name: p for p in decode(list[PrincipalRecord], data["principals"])}
         self._groups = {g.name: g for g in decode(list[DirectoryGroup], data["groups"])}
+        self._counts = {g.name: Counter(g.members) for g in self._groups.values()}

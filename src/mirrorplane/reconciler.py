@@ -172,6 +172,10 @@ class Reconciler:
         self._audit = audit
         self.tick_count = 0
         self.last_report: ReconcileReport | None = None
+        # During a tick, (folder, base) -> the lowest suffix that may still have
+        # room.  Counts only grow within a tick and every tick starts a fresh
+        # cursor, so a set_quota between ticks needs no hook.
+        self._cursor: dict[tuple[str, str], int] | None = None
 
     # -- placement ---------------------------------------------------------
 
@@ -186,15 +190,18 @@ class Reconciler:
         """Pick the project for a new mirror, sharding past full projects.
 
         Projects are created on demand as ``base``, ``base-2``, ``base-3``...
-        under one folder, so placement never fails on quota.
+        under one folder, so placement never fails on quota.  The probe
+        resumes at the base's cursor: every project below it was full.
         """
-        folder, base = self.placement_base(record)
-        suffix = 1
+        key = folder, base = self.placement_base(record)
+        cursor = {} if self._cursor is None else self._cursor
+        suffix = cursor.get(key, 1)
         while True:
             project = base if suffix == 1 else f"{base}-{suffix}"
             self.cloud.ensure_project(folder, project)
             quota = self.cloud.quota(project)
             if quota.current_count < quota.max_service_accounts:
+                cursor[key] = suffix
                 return project
             suffix += 1
 
@@ -216,8 +223,12 @@ class Reconciler:
 
     def reconcile_tick(self) -> ReconcileReport:
         report = ReconcileReport(tick_id=self.tick_count + 1, at=self._audit.now())
-        with self._audit.scope(tick_id=report.tick_id):
-            self._tick(report)
+        self._cursor = {}
+        try:
+            with self._audit.scope(tick_id=report.tick_id):
+                self._tick(report)
+        finally:
+            self._cursor = None
         self.tick_count = report.tick_id
         self.last_report = report
         return report

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cloud import (AccountStatus, MirrorAccount, NodeKind, ResourceNode, Role, RoleBinding,
                     sa_principal, workspace_principal)
-from .directory import SOURCE_OF_TRUTH_GROUP, PrincipalKind
+from .directory import PRINCIPAL_NAME_RE, SOURCE_OF_TRUTH_GROUP, PrincipalKind
 from .onboarder import principal_for_bucket
 from .errors import UnmappablePath
 from .vault import KeyState
@@ -73,6 +73,10 @@ def _check_directory(world: World, out: list[Violation]) -> None:
                 ))
             seen.add(member)
     for record in world.directory.principals():
+        # A state file bypasses add_principal's checks; placement builds ids from both.
+        for label, value in (("name", record.name), ("org unit", record.org_unit)):
+            if not isinstance(value, str) or not PRINCIPAL_NAME_RE.fullmatch(value):
+                out.append(Violation("NameViolation", record.name, f"illegal {label} {value!r}"))
         expect = record.kind is PrincipalKind.HUMAN
         if record.has_workspace_identity != expect:
             out.append(Violation(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -52,8 +53,19 @@ def write_atomic(path: str | Path, text: str) -> None:
     The text goes to a temporary file in the same directory, which
     ``os.replace`` then renames over ``path``.  That survives the process
     dying mid-write; there is no fsync, so it does not survive power loss.
+    A symlink is written through: the rename lands on its target and the
+    link stays.  A target that exists but is not a regular file (a FIFO, a
+    terminal) is written in place, since a rename would replace it instead.
     """
-    path = Path(path)
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+        return
+    path = Path(path).resolve()
     handle = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
     )

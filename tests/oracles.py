@@ -1,4 +1,4 @@
-"""Independent brute-force oracle for access decisions.
+"""Independent brute-force oracles for access decisions, mirrors and membership.
 
 Works from a raw exported snapshot (plain dicts and lists), re-deriving every
 rule from first principles: vault ownership gates reads, token liveness comes
@@ -122,3 +122,21 @@ def cloud_group_members(snap: dict, cloud_group: str) -> set[str]:
     return {
         b["principal"] for b in node["bindings"] if b["role"] == "group-member"
     }
+
+
+def expect_active_mirror(snap: dict, source_principal: str) -> str | None:
+    """The source's Active mirror by a sorted scan: the lowest such email, or None."""
+    emails = sorted(
+        account["email"]
+        for account in snap["cloud"]["accounts"]
+        if account["source_principal"] == source_principal and account["status"] == "active"
+    )
+    return emails[0] if emails else None
+
+
+def expect_member(snap: dict, group: str, principal: str) -> bool:
+    """Whether the group's serialized member list holds the principal."""
+    for record in snap["directory"]["groups"]:
+        if record["name"] == group:
+            return principal in record["members"]
+    return False

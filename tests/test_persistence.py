@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -104,4 +106,39 @@ def test_failed_write_saves_alike_alone_and_in_a_scenario(statefile, tmp_path, c
     helen_readers = World.load(alone).cloud.node(cloud_reader_group("user.helen.dp.domain"))
     assert [b.principal for b in helen_readers.bindings] == [
         "serviceAccount:posts-analyze-mirror@service-accounts-project.iam.gserviceaccount.com"
+    ]
+
+
+def test_symlinked_state_file_stays_a_link(statefile):
+    store = statefile.parent / "store"
+    store.mkdir()
+    statefile.rename(store / "world.json")
+    statefile.symlink_to(store / "world.json")
+    assert main(["dir", "add-group", "through-the-link"]) == 0
+    assert statefile.is_symlink()
+    assert World.load(store / "world.json").directory.has_group("through-the-link")
+    assert sorted(p.name for p in store.iterdir()) == ["world.json"]
+
+
+def test_export_through_a_dangling_link_creates_its_target(statefile):
+    link = statefile.parent / "export.json"
+    link.symlink_to("exported.json")
+    assert main(["state", "export", "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads((statefile.parent / "exported.json").read_text())["schema_version"] == 1
+
+
+def test_export_to_a_fifo_writes_into_it(statefile):
+    fifo = statefile.parent / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["state", "export", "-o", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received and json.loads(received[0])["schema_version"] == 1
+    assert sorted(p.name for p in statefile.parent.iterdir()) == [
+        "pipe", "world.json", "world.json.audit.jsonl",
     ]

@@ -6,8 +6,9 @@ safety claim that every reachable state verifies clean.
 """
 
 import json
+import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorplane import AccessAction, KeyState, PrincipalKind, World, verify_world
 from mirrorplane.cloud import AccountStatus, workspace_principal
@@ -240,3 +241,106 @@ def test_authenticate_always_matches_oracle(stream, seed):
             except ControlPlaneError as exc:
                 got = exc.name
             assert got == expected, (caller, email)
+
+
+SOURCES = ["ann", "bob", "cy"]
+PROJECTS = ["p-one", "p-two"]
+
+# One step on the cloud's accounts: (op, project index, name index, source index).
+account_ops = st.tuples(
+    st.sampled_from(["create", "create", "disable", "recycle", "reload"]),
+    st.integers(0, len(PROJECTS) - 1),
+    st.integers(0, 2),
+    st.integers(0, len(SOURCES) - 1),
+)
+
+
+def reload(world: World, workdir: str) -> World:
+    path = f"{workdir}/world.json"
+    world.save(path)
+    return World.load(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=st.lists(account_ops, max_size=30))
+def test_active_mirror_lookup_matches_sorted_scan(stream):
+    world = World.new(seed=3)
+    for project in PROJECTS:
+        world.cloud.ensure_project("IAMSTORE", project)
+    with tempfile.TemporaryDirectory() as workdir:
+        for op, project, name, source in stream:
+            accounts = world.cloud.accounts()
+            try:
+                if op == "create":
+                    # Direct calls, so one source may hold two Active accounts.
+                    world.cloud.create_service_account(
+                        PROJECTS[project], f"m{name}", SOURCES[source]
+                    )
+                elif op == "disable" and accounts:
+                    world.cloud.disable_service_account(accounts[name % len(accounts)].email)
+                elif op == "recycle":
+                    disabled = [a for a in accounts if a.status is AccountStatus.DISABLED]
+                    if disabled:
+                        acct = disabled[name % len(disabled)]
+                        world.cloud.create_service_account(
+                            acct.project, acct.email.split("@")[0], SOURCES[source]
+                        )
+                elif op == "reload":
+                    world = reload(world, workdir)
+            except ControlPlaneError:
+                pass
+            snap = world.to_dict()
+            for src in SOURCES:
+                assert world.cloud.active_mirror_for(src) == \
+                    oracles.expect_active_mirror(snap, src), (op, src)
+
+
+GROUPS = ["g-one", "g-two"]
+
+# One step on group membership: (op, group index, principal index).
+member_ops = st.tuples(
+    st.sampled_from(["join", "join", "leave", "remove", "add", "duplicate", "reload"]),
+    st.integers(0, len(GROUPS) - 1),
+    st.integers(0, len(SOURCES) - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=st.lists(member_ops, max_size=30))
+@example(stream=[("join", 0, 0), ("duplicate", 0, 0), ("leave", 0, 0), ("leave", 0, 0)])
+@example(stream=[("join", 0, 0), ("duplicate", 0, 0), ("remove", 0, 0), ("add", 0, 0),
+                 ("join", 0, 0), ("reload", 0, 0), ("leave", 0, 0)])
+def test_group_membership_matches_member_list(stream):
+    world = World.new(seed=3)
+    for group in GROUPS:
+        world.directory.add_group(group)
+    for name in SOURCES:
+        world.directory.add_principal(name, PrincipalKind.HEADLESS, None)
+    with tempfile.TemporaryDirectory() as workdir:
+        for op, group, principal in stream:
+            group, name = GROUPS[group], SOURCES[principal]
+            try:
+                if op == "join":
+                    world.directory.join_group(group, name)
+                elif op == "leave":
+                    world.directory.leave_group(group, name)
+                elif op == "remove":
+                    world.directory.remove_principal(name)
+                elif op == "add":
+                    world.directory.add_principal(name, PrincipalKind.HEADLESS, None)
+                elif op == "duplicate":
+                    # A hand-edited state file that lists a member twice.
+                    data = world.to_dict()
+                    for record in data["directory"]["groups"]:
+                        if record["name"] == group and name in record["members"]:
+                            record["members"].append(name)
+                    world = World.from_dict(data)
+                elif op == "reload":
+                    world = reload(world, workdir)
+            except ControlPlaneError:
+                pass
+            snap = world.to_dict()
+            for g in GROUPS:
+                for n in SOURCES:
+                    assert world.directory.is_member(g, n) == \
+                        oracles.expect_member(snap, g, n), (op, g, n)

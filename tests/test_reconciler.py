@@ -14,6 +14,7 @@ from mirrorplane import (
 from mirrorplane.cloud import AccountStatus, workspace_principal
 from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
 from mirrorplane.errors import NoMirror, UnderscoreNotSupported
+from mirrorplane.reconciler import Reconciler
 
 from conftest import POSTS_HOME, SAP, mirror
 
@@ -73,6 +74,76 @@ def test_select_project_overflows_past_full_projects(world):
     }
     for project in counts:
         assert world.cloud.node(project).parent == "DEVIAM"
+
+
+def probe_from_the_start(reconciler, record):
+    """Placement as a plain probe: base, base-2, ... from the first project every time."""
+    folder, base = reconciler.placement_base(record)
+    suffix = 1
+    while True:
+        project = base if suffix == 1 else f"{base}-{suffix}"
+        reconciler.cloud.ensure_project(folder, project)
+        quota = reconciler.cloud.quota(project)
+        if quota.current_count < quota.max_service_accounts:
+            return project
+        suffix += 1
+
+
+def small_quota_world(mode: ShardingMode = ShardingMode.SINGLE_PROJECT) -> World:
+    world = World.new(seed=7, config=ReconcileConfig(sharding_mode=mode, quota_default=2))
+    world.directory.add_group(SOURCE_OF_TRUTH_GROUP)
+    return world
+
+
+def join(world, name, org_unit="general"):
+    world.directory.add_principal(name, PrincipalKind.HUMAN, None, org_unit=org_unit)
+    world.directory.join_group(SOURCE_OF_TRUTH_GROUP, name)
+
+
+def overflowing_ticks(world):
+    for i in range(7):
+        join(world, f"u-{i}")
+    join(world, "u_bad")  # rejected before any placement
+    world.reconciler.reconcile_tick()
+    world.directory.remove_principal("u-1")
+    world.cloud.set_quota(SAP, 3)
+    for i in range(7, 10):
+        join(world, f"u-{i}")
+    world.reconciler.reconcile_tick()
+    return world.export_text(reveal_secrets=True)
+
+
+def test_placement_cursor_emits_the_probes_events(monkeypatch):
+    with_cursor = overflowing_ticks(small_quota_world())
+    assert '"service-accounts-project-4"' in with_cursor
+    monkeypatch.setattr(Reconciler, "select_project", probe_from_the_start)
+    assert overflowing_ticks(small_quota_world()) == with_cursor
+
+
+def test_raised_quota_of_a_full_lower_project_takes_the_next_mirror():
+    world = small_quota_world()
+    for i in range(5):
+        join(world, f"u-{i}")
+    world.reconciler.reconcile_tick()
+    assert world.cloud.quota(f"{SAP}-3").current_count == 1
+    world.cloud.set_quota(SAP, 3)
+    join(world, "late")
+    assert world.reconciler.reconcile_tick().created == [mirror("late")]
+
+
+def test_each_org_unit_base_keeps_its_own_cursor():
+    world = small_quota_world(ShardingMode.PER_ORG_UNIT)
+    for unit in ("dev", "ops"):
+        for i in range(3):
+            join(world, f"{unit}-{i}", org_unit=unit)
+    world.reconciler.reconcile_tick()
+    counts = {q.project: q.current_count for q in world.cloud.quotas()}
+    assert counts == {
+        "dev-service-accounts-project": 2,
+        "dev-service-accounts-project-2": 1,
+        "ops-service-accounts-project": 2,
+        "ops-service-accounts-project-2": 1,
+    }
 
 
 def test_first_tick_converges_fresh_world(populated):

@@ -244,6 +244,24 @@ def test_workspace_flag_on_headless_principal_is_caught(converged):
     ]
 
 
+def test_illegal_org_unit_and_name_from_a_state_file_are_caught(converged):
+    def edit(data):
+        for record in data["directory"]["principals"]:
+            if record["name"] == "helen":
+                record["org_unit"] = "gs://evil"
+        for name, org_unit in (("Eve.Admin", "general"), ("nobody", None)):
+            data["directory"]["principals"].append(dict(
+                name=name, kind="headless", has_workspace_identity=False,
+                hdfs_home=None, created_at=0, org_unit=org_unit,
+            ))
+
+    assert [v.render() for v in verify_world(corrupt(converged, edit))] == [
+        "NameViolation [Eve.Admin]: illegal name 'Eve.Admin'",
+        "NameViolation [helen]: illegal org unit 'gs://evil'",
+        "NameViolation [nobody]: illegal org unit None",
+    ]
+
+
 def test_second_organization_is_caught(world):
     def edit(data):
         add_node(data, "org2", "organization", None)
