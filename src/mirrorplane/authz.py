@@ -21,7 +21,7 @@ from .cloud import (
     sa_principal,
     workspace_principal,
 )
-from .codec import decode, encode
+from .codec import counter, decode, encode
 from .errors import (
     AuthFailure,
     InvalidJobSpec,
@@ -108,7 +108,7 @@ class TokenStore:
         return encode({"next": self._next, "tokens": self.tokens()})
 
     def load_state(self, data: dict) -> None:
-        self._next = data["next"]
+        self._next = counter(data["next"], "next")
         self._tokens = {t.token_id: t for t in decode(list[Token], data["tokens"])}
 
 
@@ -212,7 +212,7 @@ class AuthzEngine:
         just ran is immediately visible.
         """
         try:
-            bucket = self.cloud.node(bucket_id)
+            bucket = self.cloud.node(Cloud.strip_scheme(bucket_id))
         except UnknownNode:
             raise UnknownBucket(f"no bucket {bucket_id!r}") from None
         if bucket.kind is not NodeKind.BUCKET:
@@ -292,4 +292,4 @@ class AuthzEngine:
         return {"next_job": self._next_job}
 
     def load_state(self, data: dict) -> None:
-        self._next_job = data["next_job"]
+        self._next_job = counter(data["next_job"], "next_job")

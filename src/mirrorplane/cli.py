@@ -18,7 +18,7 @@ import click
 from .authz import AccessAction
 from .cloud import Cloud, MirrorAccount
 from .codec import encode
-from .directory import PrincipalKind
+from .directory import DirectoryGroup, PrincipalKind
 from .durations import parse_duration
 from .errors import ControlPlaneError, NotFound, SidecarAhead, StateFileMissing
 from .reconciler import ShardingMode, parse_config
@@ -29,6 +29,10 @@ from .world import World, canonical_json, compact_json, write_atomic
 
 class VerificationFailed(ControlPlaneError):
     """Raised by ``verify`` when violations exist; maps to exit code 2."""
+
+    def __init__(self, message: str, report: str) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 class Session:
@@ -101,24 +105,34 @@ class Session:
                 handle.writelines(lines)
 
 
-def writes(command):
-    """Run a write command's body on the world, save the world even if it fails, print its text.
+def writes(command, save: bool = True):
+    """Run a command's body on the world and print the text it returns, once.
 
-    A failed command's partial changes and audit events persist as they do
-    inside ``scenario run``; a missing state file fails before any save.
+    A newline is added unless the text ends in one.  A failing body prints
+    nothing, except ``verify``'s violations before exit 2.  A write saves the
+    world even if its body fails, so its partial changes and audit events
+    persist as they do inside ``scenario run``.
     """
 
     @functools.wraps(command)
     def run(session: Session, **params) -> None:
         world = session.world
+        text = ""
         try:
             text = command(world, **params)
+        except VerificationFailed as failed:
+            text = failed.report
+            raise
         finally:
-            session.commit()
-        if text:
-            click.echo(text)
+            if save:
+                session.commit()
+            if text:
+                click.echo(text, nl=not text.endswith("\n"))
 
     return click.pass_obj(run)
+
+
+reads = functools.partial(writes, save=False)
 
 
 @click.group()
@@ -213,28 +227,29 @@ def dir_remove(world: World, name: str) -> str:
 
 @dir_group.command("show")
 @click.argument("name", required=False)
-@click.pass_obj
-def dir_show(session: Session, name: str | None) -> None:
-    directory = session.world.directory
-    if name is not None:
-        if directory.has_principal(name):
-            record = directory.principal(name)
-            click.echo(
-                f"{record.name}: kind={record.kind.value} "
-                f"workspace={str(record.has_workspace_identity).lower()} "
-                f"hdfs_home={record.hdfs_home or '-'} org_unit={record.org_unit} "
-                f"created_at={record.created_at}"
-            )
-        else:
-            group = directory.group(name)
-            click.echo(f"{group.name}: {', '.join(group.members) or '(empty)'}")
-        return
-    click.echo(f"principals: {len(directory.principals())}")
-    for record in directory.principals():
-        click.echo(f"  {record.name} ({record.kind.value})")
-    click.echo(f"groups: {len(directory.groups())}")
-    for group in directory.groups():
-        click.echo(f"  {group.name}: {len(group.members)} member(s)")
+@reads
+def dir_show(world: World, name: str | None) -> str:
+    directory = world.directory
+    if name is None:
+        return "\n".join([
+            f"principals: {len(directory.principals())}",
+            *(f"  {record.name} ({record.kind.value})" for record in directory.principals()),
+            f"groups: {len(directory.groups())}",
+            *(f"  {group.name}: {len(group.members)} member(s)" for group in directory.groups()),
+        ])
+    if not directory.has_principal(name):
+        return _members(directory.group(name))
+    record = directory.principal(name)
+    return (
+        f"{record.name}: kind={record.kind.value} "
+        f"workspace={str(record.has_workspace_identity).lower()} "
+        f"hdfs_home={record.hdfs_home or '-'} org_unit={record.org_unit} "
+        f"created_at={record.created_at}"
+    )
+
+
+def _members(group: DirectoryGroup) -> str:
+    return f"{group.name}: {', '.join(group.members) or '(empty)'}"
 
 
 # -- cloud ---------------------------------------------------------------------
@@ -245,27 +260,26 @@ def cloud_group() -> None:
 
 
 @cloud_group.command("tree")
-@click.pass_obj
-def cloud_tree(session: Session) -> None:
-    click.echo(session.world.cloud.render_tree())
+@reads
+def cloud_tree(world: World) -> str:
+    return world.cloud.render_tree()
 
 
 @cloud_group.command("show")
 @click.argument("ident")
-@click.pass_obj
-def cloud_show(session: Session, ident: str) -> None:
-    found = session.world.cloud.lookup(ident)
+@reads
+def cloud_show(world: World, ident: str) -> str:
+    found = world.cloud.lookup(ident)
     if isinstance(found, MirrorAccount):
-        click.echo(
+        node = world.cloud.node(found.email)
+        head = (
             f"service account {found.email}: source={found.source_principal} "
             f"project={found.project} status={found.status.value}"
         )
-        node = session.world.cloud.node(found.email)
     else:
         node = found
-        click.echo(f"{node.kind.value} {node.id} (parent={node.parent or '-'})")
-    for binding in node.bindings:
-        click.echo(f"  {binding.role.value} -> {binding.principal}")
+        head = f"{node.kind.value} {node.id} (parent={node.parent or '-'})"
+    return "\n".join([head, *(f"  {b.role.value} -> {b.principal}" for b in node.bindings)])
 
 
 @cloud_group.command("set-quota")
@@ -285,18 +299,13 @@ def vault_group() -> None:
 
 
 @vault_group.command("ls")
-@click.pass_obj
-def vault_ls(session: Session) -> None:
-    entries = session.world.vault.entries()
-    if not entries:
-        click.echo("(vault empty)")
-        return
-    for entry in entries:
-        states = ",".join(v.state.value for v in entry.versions)
-        click.echo(
-            f"{entry.account_email} owner={entry.owner_principal} "
-            f"versions=[{states}]"
-        )
+@reads
+def vault_ls(world: World) -> str:
+    return "\n".join(
+        f"{entry.account_email} owner={entry.owner_principal} "
+        f"versions=[{','.join(v.state.value for v in entry.versions)}]"
+        for entry in world.vault.entries()
+    ) or "(vault empty)"
 
 
 @vault_group.command("read")
@@ -324,9 +333,9 @@ def clock_advance(world: World, duration: int) -> str:
 
 
 @clock_group.command("show")
-@click.pass_obj
-def clock_show(session: Session) -> None:
-    click.echo(f"t={session.world.clock}")
+@reads
+def clock_show(world: World) -> str:
+    return f"t={world.clock}"
 
 
 @cli.command()
@@ -352,16 +361,12 @@ def report_group() -> None:
 
 @report_group.command("last")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.pass_obj
-def report_last(session: Session, fmt: str) -> None:
-    report = session.world.reconciler.last_report
+@reads
+def report_last(world: World, fmt: str) -> str:
+    report = world.reconciler.last_report
     if report is None:
-        click.echo("no reconcile report yet")
-        return
-    if fmt == "json":
-        click.echo(canonical_json(encode(report)), nl=False)
-    else:
-        click.echo(report.render())
+        return "no reconcile report yet"
+    return canonical_json(encode(report)) if fmt == "json" else report.render()
 
 
 # -- onboarder ----------------------------------------------------------------------
@@ -403,8 +408,7 @@ def _reader_pair(world: World, bucket: str):
 @writes
 def readers_join(world: World, bucket: str, principal: str) -> str:
     pair = _reader_pair(world, bucket)
-    group = world.directory.join_group(pair.ldap_group, principal)
-    return f"{group.name}: {', '.join(group.members) or '(empty)'}"
+    return _members(world.directory.join_group(pair.ldap_group, principal))
 
 
 @readers_group.command("leave")
@@ -413,8 +417,7 @@ def readers_join(world: World, bucket: str, principal: str) -> str:
 @writes
 def readers_leave(world: World, bucket: str, principal: str) -> str:
     pair = _reader_pair(world, bucket)
-    group = world.directory.leave_group(pair.ldap_group, principal)
-    return f"{group.name}: {', '.join(group.members) or '(empty)'}"
+    return _members(world.directory.leave_group(pair.ldap_group, principal))
 
 
 # -- authz -----------------------------------------------------------------------
@@ -471,13 +474,12 @@ def audit_group() -> None:
 
 @audit_group.command("tail")
 @click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True)
-@click.pass_obj
-def audit_tail(session: Session, count: int) -> None:
-    events = session.world.audit.tail(count)
+@reads
+def audit_tail(world: World, count: int) -> str:
+    events = world.audit.tail(count)
     if count and not events:
-        click.echo("(audit log empty)")
-    for event in events:
-        click.echo(event.render())
+        return "(audit log empty)"
+    return "\n".join(event.render() for event in events)
 
 
 @audit_group.command("query")
@@ -488,17 +490,15 @@ def audit_tail(session: Session, count: int) -> None:
 @click.option("--job", default=None)
 @click.option("--since", type=int, default=None, help="Inclusive lower bound on t.")
 @click.option("--until", type=int, default=None, help="Inclusive upper bound on t.")
-@click.pass_obj
-def audit_query(session: Session, actor: str | None, action: str | None,
+@reads
+def audit_query(world: World, actor: str | None, action: str | None,
                 target: str | None, tick: int | None, job: str | None,
-                since: int | None, until: int | None) -> None:
-    events = session.world.audit.query(
+                since: int | None, until: int | None) -> str:
+    events = world.audit.query(
         actor=actor, action=action, target=target,
         tick_id=tick, job_id=job, since=since, until=until,
     )
-    click.echo(f"{len(events)} event(s)")
-    for event in events:
-        click.echo(event.render())
+    return "\n".join([f"{len(events)} event(s)", *(event.render() for event in events)])
 
 
 # -- verify / state ----------------------------------------------------------------
@@ -507,22 +507,17 @@ def audit_query(session: Session, actor: str | None, action: str | None,
 @click.option("--converged", is_flag=True,
               help="Also check the set-equalities that hold only at a fixed point.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.pass_obj
-def verify(session: Session, converged: bool, fmt: str) -> None:
+@reads
+def verify(world: World, converged: bool, fmt: str) -> str:
     """Check every invariant; exit 2 when violations are found."""
-    violations = verify_world(session.world, include_convergence=converged)
+    violations = verify_world(world, include_convergence=converged)
     if fmt == "json":
-        click.echo(
-            canonical_json(encode({"violations": violations})),
-            nl=False,
-        )
-    elif not violations:
-        click.echo("ok: no violations")
+        text = canonical_json(encode({"violations": violations}))
     else:
-        for violation in violations:
-            click.echo(violation.render())
+        text = "\n".join(v.render() for v in violations) or "ok: no violations"
     if violations:
-        raise VerificationFailed(f"{len(violations)} violation(s)")
+        raise VerificationFailed(f"{len(violations)} violation(s)", text)
+    return text
 
 
 @cli.group("state")
@@ -533,16 +528,15 @@ def state_group() -> None:
 @state_group.command("export")
 @click.option("--reveal-secrets", is_flag=True,
               help="Include raw secrets (default output is redacted).")
-@click.option("--output", "-o", type=click.Path(), default=None,
-              help="Write to a file instead of stdout.")
-@click.pass_obj
-def state_export(session: Session, reveal_secrets: bool, output: str | None) -> None:
-    text = session.world.export_text(reveal_secrets=reveal_secrets)
+@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
+              metavar="PATH", help="Write to a file instead of stdout.")
+@reads
+def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
+    text = world.export_text(reveal_secrets=reveal_secrets)
     if output is None:
-        click.echo(text, nl=False)
-    else:
-        write_atomic(output, text)
-        click.echo(f"exported to {output}")
+        return text
+    write_atomic(output, text)
+    return f"exported to {output}"
 
 
 @state_group.command("import")
@@ -564,8 +558,8 @@ def scenario_group() -> None:
 @scenario_group.command("run")
 @click.argument("script", type=click.Path(exists=True))
 @click.option("--strict", is_flag=True, help="Stop at the first failing command.")
-@click.option("--transcript", "transcript_out", type=click.Path(), default=None,
-              help="Write the transcript as canonical JSON.")
+@click.option("--transcript", "transcript_out", type=click.Path(dir_okay=False), default=None,
+              metavar="PATH", help="Write the transcript as canonical JSON.")
 @click.pass_obj
 def scenario_run(session: Session, script: str, strict: bool,
                  transcript_out: str | None) -> None:

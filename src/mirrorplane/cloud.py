@@ -138,10 +138,9 @@ class Cloud:
     # -- queries ----------------------------------------------------------
 
     def has_node(self, node_id: str) -> bool:
-        return self.strip_scheme(node_id) in self._nodes
+        return node_id in self._nodes
 
     def node(self, node_id: str) -> ResourceNode:
-        node_id = self.strip_scheme(node_id)
         try:
             return self._nodes[node_id]
         except KeyError:
@@ -213,7 +212,7 @@ class Cloud:
 
     @staticmethod
     def strip_scheme(ident: str) -> str:
-        # Buckets display as gs://..., internally ids are scheme-less.
+        # Buckets display as gs://..., ids are scheme-less; only user input is stripped.
         if ident.startswith(BUCKET_SCHEME):
             ident = ident[len(BUCKET_SCHEME):]
         return ident.rstrip("/") if ident else ident
@@ -221,7 +220,6 @@ class Cloud:
     # -- mutations ----------------------------------------------------------
 
     def create_node(self, kind: NodeKind, node_id: str, parent: str | None) -> ResourceNode:
-        node_id = self.strip_scheme(node_id)
         if kind is NodeKind.ORGANIZATION:
             if parent is not None:
                 raise IllegalParent("organization is the root and takes no parent")
@@ -282,7 +280,7 @@ class Cloud:
             )
         else:
             # Fresh identity on a recycled email: drop any leftover bindings.
-            self._nodes[email].bindings.clear()
+            self.node(email).bindings.clear()
         self._accounts[email] = MirrorAccount(
             email=email, source_principal=source_principal, project=project
         )

@@ -34,6 +34,13 @@ def optional(default):
     return dataclasses.field(default=default, metadata={_OPTIONAL: True})
 
 
+def counter(value, name: str) -> int:
+    """A loaded counter that later commands increment: a non-negative ``int``, no ``bool``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
+
+
 def encode(value):
     return (_ENCODERS.get(type(value)) or encoder(type(value)))(value)
 

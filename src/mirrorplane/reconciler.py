@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from .audit import AuditLog
 from .cloud import AccountStatus, Cloud, Role, mirror_email, workspace_principal
-from .codec import decode, encode
+from .codec import counter, decode, encode
 from .directory import PRINCIPAL_NAME_RE, SOURCE_OF_TRUTH_GROUP, Directory, PrincipalRecord
 from .durations import DAY, MINUTE, format_duration, parse_duration
 from .errors import (
@@ -320,5 +320,5 @@ class Reconciler:
         return encode({"tick_count": self.tick_count, "last_report": self.last_report})
 
     def load_state(self, data: dict) -> None:
-        self.tick_count = data["tick_count"]
+        self.tick_count = counter(data["tick_count"], "tick_count")
         self.last_report = decode(ReconcileReport | None, data.get("last_report"))

@@ -16,7 +16,7 @@ from pathlib import Path
 from .audit import AuditLog
 from .authz import AuthzEngine, TokenStore
 from .cloud import Cloud, NodeKind
-from .codec import decode, encode
+from .codec import counter, decode, encode
 from .directory import Directory
 from .errors import SchemaError
 from .onboarder import Onboarder
@@ -150,9 +150,7 @@ class World:
 
         config = load("config", lambda d: decode(ReconcileConfig, d))
         world = cls(config, load("secrets", lambda d: decode(SecretSource, d)))
-        if not isinstance(data["clock"], int) or data["clock"] < 0:
-            raise SchemaError("clock must be a non-negative integer (at /clock)")
-        world.clock = data["clock"]
+        world.clock = load("clock", lambda value: counter(value, "clock"))
         for key, attribute in _SECTIONS:
             load(key, getattr(world, attribute).load_state)
         return world

@@ -7,6 +7,7 @@ import click
 import pytest
 
 from mirrorplane.cli import Session, cli, dispatch, main
+from mirrorplane.errors import UnknownNode
 from mirrorplane.world import World
 
 WALKTHROUGH = Path(__file__).resolve().parent.parent / "scripts" / "partly_cloudy.txt"
@@ -305,3 +306,36 @@ def test_every_command_has_a_help_page(capsys, path, command):
     for param in command.params:
         if isinstance(param, click.Option):
             assert param.opts[-1] in out
+
+
+def test_cloud_show_of_an_account_without_a_node_prints_only_the_error(walked, capsys):
+    data = json.loads(walked.read_text(encoding="utf-8"))
+    data["cloud"]["nodes"] = [n for n in data["cloud"]["nodes"] if n["id"] != HELEN_MIRROR]
+    walked.write_text(json.dumps(data), encoding="utf-8")
+    assert run("cloud", "show", HELEN_MIRROR) == 1
+    assert capsys.readouterr() == ("", f"error: UnknownNode: no node {HELEN_MIRROR!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "export", "-o", "{dir}"),
+    ("scenario", "run", str(WALKTHROUGH), "--transcript", "{dir}"),
+])
+def test_an_output_path_that_is_a_directory_is_a_usage_error(fresh, capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    target.mkdir()
+    before = fresh.read_bytes()
+    assert run(*(arg.format(dir=target) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"'{target}' is a directory" in captured.err
+    assert fresh.read_bytes() == before and list(target.iterdir()) == []
+
+
+def test_stored_ids_are_taken_exactly(walked):
+    cloud = World.load(walked).cloud
+    assert cloud.has_node(HELEN_BUCKET) and not cloud.has_node(f"gs://{HELEN_BUCKET}")
+    with pytest.raises(UnknownNode):
+        cloud.node(f"gs://{HELEN_BUCKET}")
+    with pytest.raises(UnknownNode):
+        cloud.node(f"{HELEN_BUCKET}/")
+    assert cloud.lookup(f"gs://{HELEN_BUCKET}/") is cloud.node(HELEN_BUCKET)

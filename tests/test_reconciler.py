@@ -316,6 +316,22 @@ def test_failed_decommission_does_not_end_the_tick(populated):
     assert world.reconciler.reconcile_tick().tick_id == 3
 
 
+def test_recycling_a_mirror_whose_node_is_missing_is_a_member_error(converged):
+    converged.directory.leave_group(SOURCE_OF_TRUTH_GROUP, "helen")
+    converged.reconciler.reconcile_tick()
+    converged.directory.join_group(SOURCE_OF_TRUTH_GROUP, "helen")
+    data = json.loads(converged.export_text(reveal_secrets=True))
+    data["cloud"]["nodes"] = [n for n in data["cloud"]["nodes"] if n["id"] != mirror("helen")]
+    world = World.from_dict(data)
+
+    report = world.reconciler.reconcile_tick()
+    assert [(e["principal"], e["error"]) for e in report.errors] == [("helen", "UnknownNode")]
+    assert world.cloud.account(mirror("helen")).status is AccountStatus.DISABLED
+    assert world.cloud.active_mirror_for("helen") is None
+    assert report.created == []
+    assert world.reconciler.reconcile_tick().tick_id == 4
+
+
 def test_rotation_is_stored_before_a_restored_actas_grant(converged):
     converged.cloud.unbind_role(mirror("helen"), Role.ACT_AS, workspace_principal("helen"))
     converged.advance(converged.config.rotation_age)

@@ -84,6 +84,20 @@ def test_bad_schema_version_and_clock():
         World.from_dict(data)
 
 
+@pytest.mark.parametrize("path", ["clock", "reconcile/tick_count", "tokens/next",
+                                  "authz/next_job"])
+@pytest.mark.parametrize("value", [True, False, "3", 2.0, -1, None])
+def test_a_counter_that_is_not_a_non_negative_int_is_refused(path, value):
+    data = json.loads(build_world().export_text(reveal_secrets=True))
+    *parents, key = path.split("/")
+    holder = data[parents[0]] if parents else data
+    holder[key] = value
+    with pytest.raises(SchemaError) as excinfo:
+        World.from_dict(data)
+    section = path.split("/")[0]
+    assert f"(at /{section}): {key} must be a non-negative integer" in str(excinfo.value)
+
+
 def test_load_rejects_non_json(tmp_path):
     path = tmp_path / "world.json"
     path.write_text("not json", encoding="utf-8")
