@@ -34,6 +34,7 @@ def timed_run(script: str, sizes: list[int], out: Path) -> dict:
 
 def check_layout(script: str, run: dict, sizes: list[int]) -> None:
     assert isinstance(run["host"], str) and "CPUs" in run["host"]
+    assert run["rounds"] == 1
     assert sorted(run["sizes"], key=int) == [str(n) for n in sizes]
     measured = None
     for entry in run["sizes"].values():
@@ -48,6 +49,7 @@ def check_layout(script: str, run: dict, sizes: list[int]) -> None:
             assert len(entry[name]["rounds"]) == 1
     assert measured
     large, before = sizes[-1], sizes[-2]
+    assert [k for k in run if k.startswith("ratio_")] == [f"ratio_{large}_to_{before}"]
     ratios = run[f"ratio_{large}_to_{before}"]
     assert set(ratios) == measured
     for ratio in ratios.values():
@@ -59,6 +61,7 @@ def test_every_timing_script_is_covered():
     assert SCRIPTS == sorted(SCALARS)
 
 
+@pytest.mark.parametrize("sizes", [[20, 30], [20, 30, 40]], ids=["two_sizes", "three_sizes"])
 @pytest.mark.parametrize("script", SCRIPTS)
-def test_two_sizes(script, tmp_path):
-    check_layout(script, timed_run(script, [20, 30], tmp_path / "out.json"), [20, 30])
+def test_layout(script, sizes, tmp_path):
+    check_layout(script, timed_run(script, sizes, tmp_path / "out.json"), sizes)
