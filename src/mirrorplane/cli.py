@@ -135,6 +135,19 @@ def writes(command, save: bool = True):
 reads = functools.partial(writes, save=False)
 
 
+def output_path(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    """Refuse an output path that resolves to the state file or its audit sidecar."""
+    session = ctx.find_object(Session)
+    if value is None or session is None or session.state_path is None:
+        return value
+    target = Path(value).resolve()
+    for name, path in (("state file", session.state_path), ("audit sidecar", session.audit_path)):
+        if target == path.resolve():
+            raise click.BadParameter(f"{value!r} is the {name}; choose another path",
+                                     ctx=ctx, param=param)
+    return value
+
+
 @click.group()
 @click.option(
     "--state",
@@ -529,7 +542,7 @@ def state_group() -> None:
 @click.option("--reveal-secrets", is_flag=True,
               help="Include raw secrets (default output is redacted).")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
-              metavar="PATH", help="Write to a file instead of stdout.")
+              callback=output_path, metavar="PATH", help="Write to a file instead of stdout.")
 @reads
 def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
     text = world.export_text(reveal_secrets=reveal_secrets)
@@ -559,7 +572,7 @@ def scenario_group() -> None:
 @click.argument("script", type=click.Path(exists=True))
 @click.option("--strict", is_flag=True, help="Stop at the first failing command.")
 @click.option("--transcript", "transcript_out", type=click.Path(dir_okay=False), default=None,
-              metavar="PATH", help="Write the transcript as canonical JSON.")
+              callback=output_path, metavar="PATH", help="Write the transcript as canonical JSON.")
 @click.pass_obj
 def scenario_run(session: Session, script: str, strict: bool,
                  transcript_out: str | None) -> None:

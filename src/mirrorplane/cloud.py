@@ -203,11 +203,11 @@ class Cloud:
 
     def lookup(self, ident: str):
         """Resolve an account email or node id to its record."""
-        ident = self.strip_scheme(ident)
-        if ident in self._accounts:
-            return self._accounts[ident]
-        if ident in self._nodes:
-            return self._nodes[ident]
+        key = self.strip_scheme(ident)
+        if key in self._accounts:
+            return self._accounts[key]
+        if key in self._nodes:
+            return self._nodes[key]
         raise NotFound(f"nothing known as {ident!r}")
 
     @staticmethod
@@ -279,8 +279,9 @@ class Cloud:
                 id=email, kind=NodeKind.SERVICE_ACCOUNT, parent=project
             )
         else:
-            # Fresh identity on a recycled email: drop any leftover bindings.
-            self.node(email).bindings.clear()
+            # Fresh identity on a recycled email: revoke any leftover bindings.
+            for binding in list(self.node(email).bindings):
+                self.unbind_role(email, binding.role, binding.principal)
         self._accounts[email] = MirrorAccount(
             email=email, source_principal=source_principal, project=project
         )

@@ -243,6 +243,11 @@ def test_cloud_show_accepts_the_bucket_form(walked, capsys, form):
     assert stdout_of(capsys, "cloud", "show", form.format(HELEN_BUCKET)) == BUCKET_SHOW
 
 
+def test_cloud_show_names_an_unknown_bucket_as_typed(walked, capsys):
+    assert run("cloud", "show", "gs://nope") == 1
+    assert capsys.readouterr() == ("", "error: NotFound: nothing known as 'gs://nope'\n")
+
+
 @pytest.mark.parametrize("form", ["gs://{}", "gs://{}/"])
 def test_authz_check_accepts_the_bucket_form(walked, capsys, form):
     assert stdout_of(capsys, "authz", "check", "tok-000001", form.format(POSTS_BUCKET),
@@ -329,6 +334,35 @@ def test_an_output_path_that_is_a_directory_is_a_usage_error(fresh, capsys, tmp_
     assert captured.out == "" and "Traceback" not in captured.err
     assert f"'{target}' is a directory" in captured.err
     assert fresh.read_bytes() == before and list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["-o", "--transcript"])
+@pytest.mark.parametrize("target, name", [
+    ("world.json", "state file"),
+    ("world.json.audit.jsonl", "audit sidecar"),
+    ("link", "state file"),
+])
+def test_an_output_path_that_is_the_state_or_its_sidecar_is_a_usage_error(
+        walked, capsys, tmp_path, option, target, name):
+    sidecar = tmp_path / "world.json.audit.jsonl"
+    (tmp_path / "link").symlink_to(walked)
+    (tmp_path / "s.txt").write_text("clock show\n", encoding="utf-8")
+    before = walked.read_bytes(), sidecar.read_bytes()
+    argv = ("state", "export") if option == "-o" else ("scenario", "run", "s.txt")
+    assert run(*argv, option, target) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{target}' is the {name}" in captured.err
+    assert (walked.read_bytes(), sidecar.read_bytes()) == before
+    assert run("verify") == 0
+
+
+def test_a_scenario_line_cannot_export_over_the_state_file(walked, capsys, tmp_path):
+    (tmp_path / "s.txt").write_text("state export -o world.json\n", encoding="utf-8")
+    before = walked.read_bytes()
+    assert run("scenario", "run", "s.txt") == 0
+    assert "UsageError: Invalid value for '--output' / '-o': 'world.json' is the state file" in (
+        capsys.readouterr().out)
+    assert walked.read_bytes() == before
 
 
 def test_stored_ids_are_taken_exactly(walked):

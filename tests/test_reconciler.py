@@ -11,7 +11,7 @@ from mirrorplane import (
     World,
     derive_mirror_name,
 )
-from mirrorplane.cloud import AccountStatus, workspace_principal
+from mirrorplane.cloud import AccountStatus, RoleBinding, workspace_principal
 from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
 from mirrorplane.errors import NoMirror, UnderscoreNotSupported
 from mirrorplane.reconciler import Reconciler
@@ -330,6 +330,22 @@ def test_recycling_a_mirror_whose_node_is_missing_is_a_member_error(converged):
     assert world.cloud.active_mirror_for("helen") is None
     assert report.created == []
     assert world.reconciler.reconcile_tick().tick_id == 4
+
+
+def test_recycling_a_mirror_revokes_its_leftover_bindings_on_the_record(converged):
+    converged.directory.leave_group(SOURCE_OF_TRUTH_GROUP, "helen")
+    converged.reconciler.reconcile_tick()
+    # A Disabled mirror that still holds its owner's grant, as a hand-edited state may.
+    converged.cloud.bind_role(mirror("helen"), Role.ACT_AS, workspace_principal("helen"))
+    converged.directory.join_group(SOURCE_OF_TRUTH_GROUP, "helen")
+    report = converged.reconciler.reconcile_tick()
+    assert report.created == [mirror("helen")]
+    helen = [e.action for e in converged.audit.query(tick_id=report.tick_id)
+             if e.target.startswith(mirror("helen"))]
+    assert helen == ["cloud.unbind_role.act-as", "cloud.create_service_account",
+                     "vault.store_key", "cloud.bind_role.act-as"]
+    assert converged.cloud.node(mirror("helen")).bindings == [
+        RoleBinding(Role.ACT_AS, workspace_principal("helen"))]
 
 
 def test_rotation_is_stored_before_a_restored_actas_grant(converged):
