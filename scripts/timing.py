@@ -61,6 +61,8 @@ def main(doc: str, *, sizes: tuple[int, ...], out: str, method: str,
     parser.add_argument("--sizes", type=int, nargs="+", default=list(sizes))
     parser.add_argument("--out", type=Path, default=ROOT / out)
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
 
     prepared = {n: prepare(n) for n in args.sizes}

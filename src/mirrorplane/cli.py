@@ -138,13 +138,11 @@ reads = functools.partial(writes, save=False)
 def output_path(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
     """Refuse an output path that resolves to the state file or its audit sidecar."""
     session = ctx.find_object(Session)
-    if value is None or session is None or session.state_path is None:
-        return value
-    target = Path(value).resolve()
-    for name, path in (("state file", session.state_path), ("audit sidecar", session.audit_path)):
-        if target == path.resolve():
-            raise click.BadParameter(f"{value!r} is the {name}; choose another path",
-                                     ctx=ctx, param=param)
+    if value is not None and session.state_path is not None:
+        target = Path(value).resolve()
+        for name, path in (("state file", session.state_path), ("audit sidecar", session.audit_path)):
+            if target == path.resolve():
+                raise click.BadParameter(f"{value!r} is the {name}; choose another path")
     return value
 
 

@@ -20,10 +20,14 @@ SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("time_*.py"))
 SCALARS = {"time_reads.py": ("build_s", "nodes"), "time_reconcile.py": ("mirrors_created",)}
 
 
-def timed_run(script: str, sizes: list[int], out: Path) -> dict:
+def run_script(script: str, sizes: list[int], out: Path, rounds: int = 1):
     argv = [sys.executable, str(ROOT / "scripts" / script), "--label", "test",
-            "--rounds", "1", "--sizes", *map(str, sizes), "--out", str(out)]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+            "--rounds", str(rounds), "--sizes", *map(str, sizes), "--out", str(out)]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
+
+
+def timed_run(script: str, sizes: list[int], out: Path) -> dict:
+    done = run_script(script, sizes, out)
     assert done.returncode == 0, done.stderr
     data = json.loads(out.read_text())
     assert isinstance(data["method"], str) and data["method"]
@@ -65,3 +69,10 @@ def test_every_timing_script_is_covered():
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_layout(script, sizes, tmp_path):
     check_layout(script, timed_run(script, sizes, tmp_path / "out.json"), sizes)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_a_round_count_below_one_is_a_usage_error(script, tmp_path):
+    done = run_script(script, [20, 30], tmp_path / "out.json", rounds=0)
+    assert done.returncode == 2 and "--rounds must be at least 1" in done.stderr
+    assert "Traceback" not in done.stderr and not (tmp_path / "out.json").exists()
