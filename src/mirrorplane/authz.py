@@ -24,6 +24,7 @@ from .cloud import (
 from .codec import counter, decode, encode
 from .errors import (
     AuthFailure,
+    DuplicateId,
     InvalidJobSpec,
     NoActiveKey,
     PermissionDenied,
@@ -86,9 +87,14 @@ class TokenStore:
         self._tokens: dict[str, Token] = {}
         self._next = 1
 
+    def next_id(self) -> str:
+        return f"tok-{self._next:06d}"
+
     def mint(self, subject: str, minted_from: str, issued_at: int, via_actas: str | None) -> Token:
+        if self.next_id() in self._tokens:
+            raise DuplicateId(f"token id {self.next_id()!r} is already held; tokens.next is stale")
         token = Token(
-            token_id=f"tok-{self._next:06d}",
+            token_id=self.next_id(),
             subject=subject,
             minted_from=minted_from,
             issued_at=issued_at,

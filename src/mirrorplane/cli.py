@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -25,6 +26,9 @@ from .reconciler import ShardingMode, parse_config
 from .scenario import run_script
 from .verify import verify_world
 from .world import World, canonical_json, compact_json, write_atomic
+
+# An ``open`` opener that creates a missing file owner-only (0600).
+_owner_only = functools.partial(os.open, mode=0o600)
 
 
 class VerificationFailed(ControlPlaneError):
@@ -45,7 +49,6 @@ class Session:
     ) -> None:
         self.state_path = Path(state_path) if state_path is not None else None
         self._world = world
-        self._rewrite_sidecar = False
         # Audit events in the state file, which the sidecar may not exceed.
         self._saved_events = len(world.audit) if world is not None else 0
 
@@ -66,8 +69,10 @@ class Session:
         return self._world
 
     def replace(self, world: World) -> None:
+        """Swap in another world and empty the sidecar, so its commit appends every event."""
         self._world = world
-        self._rewrite_sidecar = True
+        if self.state_path is not None:
+            open(self.audit_path, "w", opener=_owner_only).close()
 
     def commit(self) -> None:
         if self.state_path is None:
@@ -81,7 +86,7 @@ class Session:
     def _sidecar_events(self) -> tuple[int, int]:
         """Whole lines in the sidecar and their bytes, checked before either file is written."""
         path = self.audit_path
-        if self._rewrite_sidecar or not path.exists():
+        if not path.exists():
             return 0, 0
         data = path.read_bytes()
         existing = data.count(b"\n")
@@ -93,16 +98,11 @@ class Session:
         return existing, data.rfind(b"\n") + 1
 
     def _sync_audit_sidecar(self, written: int, size: int) -> None:
-        """Mirror audit events into the append-only line-delimited sidecar."""
-        events = self.world.audit.events()
-        lines = (compact_json(encode(e)) + "\n" for e in events[written:])
-        if self._rewrite_sidecar:
-            write_atomic(self.audit_path, "".join(lines))
-            self._rewrite_sidecar = False
-        elif written < len(events):
-            with open(self.audit_path, "a", encoding="utf-8") as handle:
-                handle.truncate(size)  # drops a torn last line left by a crash mid-append
-                handle.writelines(lines)
+        """Append the events the line-delimited sidecar lacks to its whole lines."""
+        events = self.world.audit.events()[written:]
+        with open(self.audit_path, "a", encoding="utf-8", opener=_owner_only) as handle:
+            handle.truncate(size)  # drops a torn last line left by a crash mid-append
+            handle.writelines(compact_json(encode(e)) + "\n" for e in events)
 
 
 def writes(command, save: bool = True):

@@ -54,6 +54,8 @@ class ReconcileConfig:
         self.validate()
 
     def validate(self) -> None:
+        if self.tick_interval < 1:
+            raise ValueError("tick_interval must be positive")
         if self.rotation_age <= self.tick_interval:
             raise ValueError("rotation_age must exceed tick_interval")
         if self.retiring_grace <= 0:
@@ -172,10 +174,10 @@ class Reconciler:
         self._audit = audit
         self.tick_count = 0
         self.last_report: ReconcileReport | None = None
-        # During a tick, (folder, base) -> the lowest suffix that may still have
-        # room.  Counts only grow within a tick and every tick starts a fresh
-        # cursor, so a set_quota between ticks needs no hook.
-        self._cursor: dict[tuple[str, str], int] | None = None
+        # (folder, base) -> the lowest suffix that may still have room.  Counts
+        # only grow within a tick and every tick starts a fresh cursor, so a
+        # set_quota between ticks needs no hook.
+        self._cursor: dict[tuple[str, str], int] = {}
 
     # -- placement ---------------------------------------------------------
 
@@ -194,14 +196,13 @@ class Reconciler:
         resumes at the base's cursor: every project below it was full.
         """
         key = folder, base = self.placement_base(record)
-        cursor = {} if self._cursor is None else self._cursor
-        suffix = cursor.get(key, 1)
+        suffix = self._cursor.get(key, 1)
         while True:
             project = base if suffix == 1 else f"{base}-{suffix}"
             self.cloud.ensure_project(folder, project)
             quota = self.cloud.quota(project)
             if quota.current_count < quota.max_service_accounts:
-                cursor[key] = suffix
+                self._cursor[key] = suffix
                 return project
             suffix += 1
 
@@ -224,11 +225,8 @@ class Reconciler:
     def reconcile_tick(self) -> ReconcileReport:
         report = ReconcileReport(tick_id=self.tick_count + 1, at=self._audit.now())
         self._cursor = {}
-        try:
-            with self._audit.scope(tick_id=report.tick_id):
-                self._tick(report)
-        finally:
-            self._cursor = None
+        with self._audit.scope(tick_id=report.tick_id):
+            self._tick(report)
         self.tick_count = report.tick_id
         self.last_report = report
         return report

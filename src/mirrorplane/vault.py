@@ -16,8 +16,9 @@ from enum import Enum
 from typing import Callable
 
 from .audit import AuditLog
-from .codec import decode, encode
+from .codec import counter, decode, encode
 from .errors import (
+    DuplicateId,
     NoActiveKey,
     OwnerMismatch,
     PermissionDenied,
@@ -45,6 +46,9 @@ class SecretSource:
 
     seed: int
     counter: int = 0
+
+    def __post_init__(self) -> None:
+        counter(self.counter, "counter")
 
     def next_secret(self) -> str:
         digest = hashlib.sha256(f"{self.seed}:{self.counter}".encode()).hexdigest()
@@ -75,6 +79,12 @@ class VaultEntry:
     owner_principal: str
     versions: list[KeyVersion] = field(default_factory=list)  # newest first
     next_serial: int = 1
+
+    def __post_init__(self) -> None:
+        counter(self.next_serial, "next_serial")
+
+    def next_key_id(self) -> str:
+        return f"{self.account_email}#v{self.next_serial}"
 
     def active_version(self) -> KeyVersion | None:
         for version in self.versions:
@@ -140,12 +150,16 @@ class Vault:
                 f"entry for {account_email!r} is owned by "
                 f"{entry.owner_principal!r}, not {owner!r}"
             )
+        key_id = entry.next_key_id()
+        if self.find_version(key_id) is not None:
+            # A reissued id would make the tokens minted from the old key valid again.
+            raise DuplicateId(f"key id {key_id!r} is already held; next_serial is stale")
         prior = entry.active_version()
         if prior is not None:
             prior._transition(KeyState.RETIRING)
             prior.retiring_since = now
         version = KeyVersion(
-            key_id=f"{account_email}#v{entry.next_serial}",
+            key_id=key_id,
             account_email=account_email,
             secret=secret,
             state=KeyState.ACTIVE,

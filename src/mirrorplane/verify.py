@@ -19,7 +19,7 @@ from .cloud import (AccountStatus, MirrorAccount, NodeKind, ResourceNode, Role, 
 from .directory import PRINCIPAL_NAME_RE, SOURCE_OF_TRUTH_GROUP, PrincipalKind
 from .onboarder import principal_for_bucket
 from .errors import UnmappablePath
-from .vault import KeyState
+from .vault import REDACTED, KeyState
 from .world import World
 
 Bound = tuple[ResourceNode, RoleBinding]
@@ -183,12 +183,18 @@ def _check_lockdown(bound: list[Bound], out: list[Violation]) -> None:
 
 
 def _check_vault(world: World, out: list[Violation]) -> None:
+    holders: dict[str, str] = {}  # secret -> the first key id holding it
     for entry in world.vault.entries():
         active = [v for v in entry.versions if v.state is KeyState.ACTIVE]
         if len(active) > 1:
             out.append(Violation(
                 "SingleActiveViolation", entry.account_email,
                 f"{len(active)} active versions",
+            ))
+        if world.vault.find_version(entry.next_key_id()) is not None:
+            out.append(Violation(
+                "IdReuseViolation", entry.account_email,
+                f"next key id {entry.next_key_id()!r} is already held",
             ))
         if world.cloud.has_account(entry.account_email):
             acct = world.cloud.account(entry.account_email)
@@ -216,6 +222,12 @@ def _check_vault(world: World, out: list[Violation]) -> None:
                 ))
             if version.state is KeyState.RETIRING and version.retiring_since is None:
                 out.append(Violation("LifecycleViolation", version.key_id, "retiring_since unset"))
+            if version.secret != REDACTED:  # an imported redacted export holds no secrets
+                first = holders.setdefault(version.secret, version.key_id)
+                if first != version.key_id:
+                    out.append(Violation(
+                        "SecretReuseViolation", version.key_id, f"secret also held by {first!r}",
+                    ))
 
 
 def _check_buckets(world: World, bound: list[Bound], accounts: list[MirrorAccount],
@@ -268,6 +280,10 @@ def _check_buckets(world: World, bound: list[Bound], accounts: list[MirrorAccoun
 
 
 def _check_tokens(world: World, out: list[Violation]) -> None:
+    if world.tokens.get(world.tokens.next_id()) is not None:
+        out.append(Violation(
+            "IdReuseViolation", "tokens", f"next token id {world.tokens.next_id()!r} is already held",
+        ))
     for token in world.tokens.tokens():
         if not world.cloud.has_account(token.subject):
             out.append(Violation(

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from mirrorplane import PrincipalKind, World
+from mirrorplane.cli import main
 from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
 
 SAP = "service-accounts-project"
@@ -41,3 +44,13 @@ def provisioned(converged: World) -> World:
     converged.onboarder.provision_bucket("posts-analyze")
     converged.onboarder.provision_bucket("helen")
     return converged
+
+
+def reimport(tmp_path, edit) -> int:
+    """Export the working world with secrets, apply ``edit`` to the document, import it back."""
+    snapshot = tmp_path / "snapshot.json"
+    assert main(["state", "export", "--reveal-secrets", "-o", str(snapshot)]) == 0
+    data = json.loads(snapshot.read_text(encoding="utf-8"))
+    edit(data)
+    snapshot.write_text(json.dumps(data), encoding="utf-8")
+    return main(["state", "import", str(snapshot)])

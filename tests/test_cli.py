@@ -9,6 +9,8 @@ from mirrorplane.scenario import parse_script, run_script
 from mirrorplane.errors import ParseError
 from mirrorplane.world import World
 
+from conftest import reimport
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 WALKTHROUGH = SCRIPTS / "partly_cloudy.txt"
 
@@ -466,3 +468,123 @@ def test_readers_join_unknown_bucket_is_not_found(walked, capsys):
     assert capsys.readouterr().err == (
         "error: NotFound: no reader group pair for bucket 'gs://nope'\n"
     )
+
+
+# -- ids, secrets and counters an imported state may hold --------------------------
+
+ZED_MIRROR = "zed-mirror@service-accounts-project.iam.gserviceaccount.com"
+
+
+def entry_of(data: dict, email: str) -> dict:
+    (entry,) = [e for e in data["vault"]["entries"] if e["account_email"] == email]
+    return entry
+
+
+def test_a_stale_next_serial_cannot_revive_a_revoked_token(walked, tmp_path, capsys):
+    assert run("authz", "token", "--as", "posts-analyze", POSTS_MIRROR) == 0
+    for argv in (["clock", "advance", "7d"], ["reconcile", "--once"],
+                 ["clock", "advance", "2d"], ["reconcile", "--once"]):
+        assert run(*argv) == 0
+    check = ("authz", "check", "tok-000003", "user.posts-analyze.dp.domain", "read")
+    capsys.readouterr()
+    assert run(*check) == 0
+    assert capsys.readouterr().out == "DENY InvalidToken\n"
+
+    def stale(data):
+        entry = entry_of(data, POSTS_MIRROR)
+        assert entry["next_serial"] == 3
+        entry["next_serial"] = 1
+
+    assert reimport(tmp_path, stale) == 0
+    capsys.readouterr()
+    assert run("verify") == 2
+    assert capsys.readouterr().out == (
+        f"IdReuseViolation [{POSTS_MIRROR}]: next key id '{POSTS_MIRROR}#v1' is already held\n"
+    )
+    # The rotation refuses to reissue #v1; the tick lists it and goes on with helen.
+    assert run("clock", "advance", "7d") == 0
+    capsys.readouterr()
+    assert run("reconcile", "--once") == 0
+    out = capsys.readouterr().out
+    assert f"  rotated: 1\n    {HELEN_MIRROR}\n" in out
+    assert (
+        f"  errors: 1\n    posts-analyze: DuplicateId: key id '{POSTS_MIRROR}#v1' "
+        "is already held; next_serial is stale\n"
+    ) in out
+    assert run(*check) == 0
+    assert capsys.readouterr().out == "DENY InvalidToken\n"
+
+
+def test_a_stale_tokens_next_cannot_reissue_a_token(walked, tmp_path, capsys):
+    assert run("authz", "token", "--as", "posts-analyze", POSTS_MIRROR) == 0
+
+    def stale(data):
+        data["tokens"]["next"] = 1
+
+    assert reimport(tmp_path, stale) == 0
+    capsys.readouterr()
+    assert run("verify") == 2
+    assert capsys.readouterr().out == (
+        "IdReuseViolation [tokens]: next token id 'tok-000001' is already held\n"
+    )
+    assert run("authz", "token", "--as", "workspace:helen", HELEN_MIRROR) == 1
+    assert capsys.readouterr().err == (
+        "error: DuplicateId: token id 'tok-000001' is already held; tokens.next is stale\n"
+    )
+    world = World.load(walked)
+    assert world.tokens.get("tok-000001").subject == POSTS_MIRROR
+    last = world.audit.events()[-1]
+    assert (last.actor, last.action, last.target, last.outcome.value) == (
+        "workspace:helen", "authn.impersonate", HELEN_MIRROR, "failure",
+    )
+
+
+def test_a_secret_held_by_two_keys_is_reported(walked, tmp_path, capsys):
+    def reset(data):
+        data["secrets"]["counter"] = 0
+
+    assert reimport(tmp_path, reset) == 0
+    for argv in (["dir", "add-user", "zed", "--kind", "headless"],
+                 ["dir", "join", "mirror-account-users", "zed"], ["reconcile", "--once"]):
+        assert run(*argv) == 0
+    capsys.readouterr()
+    assert run("verify") == 2
+    assert capsys.readouterr().out == (
+        f"SecretReuseViolation [{ZED_MIRROR}#v1]: secret also held by '{POSTS_MIRROR}#v1'\n"
+    )
+
+
+def test_an_imported_redacted_export_verifies_clean(walked, tmp_path, capsys):
+    redacted = tmp_path / "redacted.json"
+    assert run("state", "export", "-o", str(redacted)) == 0
+    assert run("state", "import", str(redacted)) == 0
+    capsys.readouterr()
+    assert run("verify") == 0
+    assert capsys.readouterr().out == "ok: no violations\n"
+
+
+@pytest.mark.parametrize(("section", "edit"), [
+    # Each of these loaded, then crashed a later tick or rotation with a traceback.
+    ("secrets", lambda data: data["secrets"].update(counter="7")),
+    ("vault", lambda data: entry_of(data, POSTS_MIRROR).update(next_serial="2")),
+    ("config", lambda data: data["config"].update(tick_interval=-15)),
+], ids=["secrets.counter", "next_serial", "tick_interval"])
+def test_a_bad_loaded_value_fails_the_import(walked, tmp_path, capsys, section, edit):
+    before = walked.read_bytes()
+    capsys.readouterr()
+    assert reimport(tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError") and f"(at /{section})" in err
+    assert walked.read_bytes() == before
+
+
+@pytest.mark.parametrize("document", ['{"tick_interval": 0}', '{"tick_interval": "0m"}'])
+def test_init_refuses_a_tick_interval_below_one(tmp_path, monkeypatch, capsys, document):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(document, encoding="utf-8")
+    assert run("init", "--config", str(config)) == 1
+    assert capsys.readouterr().err == (
+        "error: ParseError: bad config: tick_interval must be positive\n"
+    )
+    assert not (tmp_path / "world.json").exists()

@@ -10,6 +10,8 @@ from mirrorplane.cli import Session, cli, dispatch, main
 from mirrorplane.errors import UnknownNode
 from mirrorplane.world import World
 
+from conftest import reimport
+
 WALKTHROUGH = Path(__file__).resolve().parent.parent / "scripts" / "partly_cloudy.txt"
 HELEN_MIRROR = "helen-mirror@service-accounts-project.iam.gserviceaccount.com"
 POSTS_MIRROR = "posts-analyze-mirror@service-accounts-project.iam.gserviceaccount.com"
@@ -373,3 +375,144 @@ def test_stored_ids_are_taken_exactly(walked):
     with pytest.raises(UnknownNode):
         cloud.node(f"{HELEN_BUCKET}/")
     assert cloud.lookup(f"gs://{HELEN_BUCKET}/") is cloud.node(HELEN_BUCKET)
+
+
+# -- branches the walkthrough never takes ---------------------------------------------
+
+def test_audit_query_target_since_and_until_exclude_events(walked, capsys):
+    assert run("clock", "advance", "10m") == 0
+    assert run("dir", "add-group", "late") == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "audit", "query", "--target", HELEN_BUCKET) == (
+        "2 event(s)\n"
+        f"#21 t=0 success cloud.create_node.bucket actor=control-plane target={HELEN_BUCKET}\n"
+        f"#31 t=0 failure authorize.write actor={POSTS_MIRROR} target={HELEN_BUCKET}\n"
+    )
+    assert stdout_of(capsys, "audit", "query", "--since", "5") == (
+        "1 event(s)\n#37 t=10 success directory.add_group actor=control-plane target=late\n"
+    )
+    assert stdout_of(capsys, "audit", "query", "--until", "5").startswith("36 event(s)\n#1 t=0 ")
+    assert stdout_of(capsys, "audit", "query", "--since", "5", "--until", "9") == "0 event(s)\n"
+
+
+def test_a_tick_report_lists_rejected_and_failing_members(walked, capsys, tmp_path):
+    assert run("dir", "add-user", "data_pipeline", "--kind", "headless") == 0
+    assert run("dir", "join", "mirror-account-users", "data_pipeline") == 0
+    # helen's mirror loses its service-account node, so her ActAs grant fails.
+    assert reimport(tmp_path, lambda data: data["cloud"].update(
+        nodes=[n for n in data["cloud"]["nodes"] if n["id"] != HELEN_MIRROR])) == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "reconcile", "--once") == (
+        "tick 2 at t=0\n"
+        "  created: 0\n"
+        "  rotated: 0\n"
+        "  actas_granted: 0\n"
+        "  decommissioned: 0\n"
+        "  rejected: 1\n"
+        "    data_pipeline: UnderscoreNotSupported\n"
+        "  errors: 1\n"
+        f"    helen: UnknownNode: no node '{HELEN_MIRROR}'\n"
+    )
+
+
+def test_an_unknown_config_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text('{"tick_interval": "1h", "bogus": 1}', encoding="utf-8")
+    assert run("init", "--config", "config.json") == 1
+    assert capsys.readouterr().err == "error: ParseError: unknown config keys: ['bogus']\n"
+    assert not (tmp_path / "world.json").exists()
+
+
+def test_init_summarises_an_hours_valued_tick_interval(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text('{"tick_interval": "2h"}', encoding="utf-8")
+    assert stdout_of(capsys, "init", "--config", "config.json") == (
+        "initialized world (seed=0, tick_interval=2h rotation_age=7d retiring_grace=2d "
+        "sharding_mode=single-project base_project=service-accounts-project quota_default=100)\n"
+    )
+
+
+def test_impersonating_an_unknown_account_is_denied(walked, capsys):
+    assert run("authz", "token", "--as", "workspace:helen", "ghost@nowhere") == 1
+    assert capsys.readouterr().err == (
+        "error: PermissionDenied: no ActAs grant on 'ghost@nowhere'\n"
+    )
+
+
+def test_impersonating_a_mirror_without_an_active_key_fails(walked, capsys, tmp_path):
+    def invalidate(data):
+        for entry in data["vault"]["entries"]:
+            if entry["account_email"] == HELEN_MIRROR:
+                entry["versions"][0].update(state="invalid", state_history=["active", "invalid"])
+
+    assert reimport(tmp_path, invalidate) == 0
+    capsys.readouterr()
+    assert run("authz", "token", "--as", "workspace:helen", HELEN_MIRROR) == 1
+    assert capsys.readouterr().err == (
+        f"error: AuthFailure: no active key for '{HELEN_MIRROR}'\n"
+    )
+
+
+def test_only_a_present_reader_group_grants_read(walked, capsys, tmp_path):
+    # A direct reader grant and a grant to a group with no node are skipped.
+    def plant(data):
+        for node in data["cloud"]["nodes"]:
+            if node["id"] == HELEN_BUCKET:
+                node["bindings"] += [
+                    {"role": "bucket-reader", "principal": f"serviceAccount:{POSTS_MIRROR}"},
+                    {"role": "bucket-reader", "principal": "group:ghost@groups.dp.domain"},
+                ]
+
+    assert reimport(tmp_path, plant) == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "authz", "check", "tok-000001", HELEN_BUCKET, "read") == (
+        "DENY NotAuthorized\n"
+    )
+    assert stdout_of(capsys, "authz", "check", "tok-000002", POSTS_BUCKET, "read") == (
+        "ALLOW ReaderGroup\n"
+    )
+
+
+def test_set_quota_of_an_unknown_project_is_unknown_node(walked, capsys):
+    assert run("cloud", "set-quota", "nope", "5") == 1
+    assert capsys.readouterr().err == "error: UnknownNode: no project 'nope'\n"
+
+
+def test_cloud_tree_without_an_organization(walked, capsys, tmp_path):
+    assert reimport(tmp_path, lambda data: data["cloud"].update(
+        nodes=[n for n in data["cloud"]["nodes"] if n["kind"] != "organization"])) == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "cloud", "tree") == "(no organization)\n"
+
+
+def test_onboarding_a_removed_principal_with_an_active_mirror(walked, capsys):
+    for argv in (["dir", "add-user", "zed", "--kind", "headless",
+                  "--hdfs-home", "/dc1/cluster1/user/zed"],
+                 ["dir", "join", "mirror-account-users", "zed"], ["reconcile", "--once"],
+                 ["dir", "remove", "zed"]):
+        assert run(*argv) == 0
+    capsys.readouterr()
+    assert run("onboard", "bucket", "zed") == 1
+    assert capsys.readouterr().err == "error: NoHdfsHome: 'zed' is not in the directory\n"
+
+
+def test_importing_a_json_array_is_a_schema_error(walked, capsys, tmp_path):
+    (tmp_path / "array.json").write_text("[]", encoding="utf-8")
+    before = walked.read_bytes()
+    assert run("state", "import", "array.json") == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: state document must be a JSON object (at /)\n"
+    )
+    assert walked.read_bytes() == before
+
+
+def test_help_through_main_and_inside_a_scenario(fresh, capsys, tmp_path):
+    assert run("--help") == 0
+    assert "Simulated hybrid-cloud identity control plane." in capsys.readouterr().out
+    (tmp_path / "s.txt").write_text("clock show --help\nreconcile --ticks 0\n", encoding="utf-8")
+    assert run("scenario", "run", "s.txt", "--strict") == 0
+    out = capsys.readouterr().out
+    # A help page is a successful entry; an entry with no output is its head alone.
+    assert out.startswith("L1 [ok] clock show --help\n    Usage: ")
+    assert "clock show [OPTIONS]\n" in out
+    assert out.endswith("\nL2 [ok] reconcile --ticks 0\n")

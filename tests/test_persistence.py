@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from mirrorplane.cli import main
+from mirrorplane.cli import Session, main
+from mirrorplane.codec import encode
 from mirrorplane.onboarder import cloud_reader_group
-from mirrorplane.world import World
+from mirrorplane.world import World, compact_json
 
 
 @pytest.fixture
@@ -142,3 +143,97 @@ def test_export_to_a_fifo_writes_into_it(statefile):
     assert sorted(p.name for p in statefile.parent.iterdir()) == [
         "pipe", "world.json", "world.json.audit.jsonl",
     ]
+
+
+# -- a kill at each write point of Session.commit ---------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "partly-cloudy.json"
+
+
+class Killed(BaseException):
+    """A simulated kill: no code after the kill point runs, no handler catches it."""
+
+
+def kill_before_the_state_rename(monkeypatch, statefile):
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).resolve() == statefile.resolve():
+            raise Killed
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def kill_after_the_state_rename(monkeypatch, statefile):
+    real = World.save
+
+    def save(world, path):
+        real(world, path)
+        raise Killed
+
+    monkeypatch.setattr(World, "save", save)
+
+
+def kill_midway_through_the_sidecar_write(monkeypatch, statefile):
+    real = Session._sync_audit_sidecar
+
+    def sync(session, written, size):
+        sidecar = session.audit_path
+        before = sidecar.stat().st_size if sidecar.exists() else 0
+        real(session, written, size)
+        after = sidecar.stat().st_size
+        os.truncate(sidecar, before + (after - before) // 2)
+        assert not sidecar.read_bytes().endswith(b"\n")  # the cut tears a line
+        raise Killed
+
+    monkeypatch.setattr(Session, "_sync_audit_sidecar", sync)
+
+
+KILLED_COMMANDS = {
+    "dir add-group": ["dir", "add-group", "killed"],
+    "state import": ["state", "import", str(GOLDEN)],
+    "init --force": ["init", "--force", "--seed", "9"],
+}
+KILL_POINTS = [
+    kill_before_the_state_rename,
+    kill_after_the_state_rename,
+    kill_midway_through_the_sidecar_write,
+]
+
+
+def sidecar_holds_the_state_events(statefile) -> bool:
+    lines = [compact_json(encode(event)) + "\n" for event in World.load(statefile).audit]
+    return Path(f"{statefile}.audit.jsonl").read_text(encoding="utf-8") == "".join(lines)
+
+
+@pytest.mark.parametrize("kill", KILL_POINTS, ids=lambda kill: kill.__name__.removeprefix("kill_"))
+@pytest.mark.parametrize("command", KILLED_COMMANDS)
+def test_the_next_write_repairs_a_killed_commit(statefile, command, kill):
+    # Three events the replacing worlds do not hold, so a kept old line shows.
+    for name in ("only-in-a", "only-in-b", "only-in-c"):
+        assert main(["dir", "add-group", name]) == 0
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(Killed):
+        kill(patch, statefile)
+        main(KILLED_COMMANDS[command])
+
+    assert main(["dir", "add-group", "after-the-kill"]) == 0
+    assert sidecar_holds_the_state_events(statefile)
+
+
+def test_the_sidecar_is_owner_only(statefile):
+    sidecar = Path(f"{statefile}.audit.jsonl")
+    mode = lambda: stat.S_IMODE(sidecar.stat().st_mode)  # noqa: E731
+    previous = os.umask(0o022)
+    try:
+        sidecar.unlink()
+        assert main(["init", "--force", "--seed", "3"]) == 0
+        assert mode() == 0o600
+        assert main(["state", "import", str(GOLDEN)]) == 0
+        assert mode() == 0o600
+        sidecar.unlink()
+        assert main(["dir", "add-group", "recreated"]) == 0
+        assert mode() == 0o600
+    finally:
+        os.umask(previous)
+    assert sidecar_holds_the_state_events(statefile)

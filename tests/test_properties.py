@@ -24,17 +24,17 @@ names = st.from_regex(r"[a-z][a-z0-9_-]{0,8}", fullmatch=True)
 legal_names = st.from_regex(r"[a-z][a-z0-9-]{0,8}", fullmatch=True)
 
 # One weighted op in a world-building stream: (op, name, kind/flag).
-ops = st.tuples(
-    st.sampled_from(
-        ["add", "add", "add", "join", "join", "leave", "remove",
-         "tick", "tick", "advance", "bucket", "read-join", "sync", "probe"]
-    ),
-    names,
-    st.booleans(),
+op_kinds = st.sampled_from(
+    ["add", "add", "add", "join", "join", "leave", "remove",
+     "tick", "tick", "advance", "bucket", "read-join", "sync", "probe"]
 )
+ops = st.tuples(op_kinds, names, st.booleans())
+# The same ops over four names, so that joins, leaves and removals find their
+# principal; "c_d" is refused a mirror.
+pooled_ops = st.tuples(op_kinds, st.sampled_from(["ann", "bob", "helen", "c_d"]), st.booleans())
 
 
-def apply_ops(world: World, stream) -> None:
+def apply_ops(world: World, stream, after_each=None) -> None:
     world.directory.add_group(SOURCE_OF_TRUTH_GROUP)
     for op, name, flag in stream:
         try:
@@ -66,7 +66,9 @@ def apply_ops(world: World, stream) -> None:
                 if email:
                     world.authz.authenticate(name, email)
         except ControlPlaneError:
-            continue
+            pass
+        if after_each is not None:
+            after_each(op)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,6 +97,45 @@ def test_export_import_round_trip(stream):
     apply_ops(world, stream)
     text = world.export_text(reveal_secrets=True)
     assert World.from_dict(json.loads(text)).export_text(reveal_secrets=True) == text
+
+
+# The sections a state change may touch without an audit event: the clock, and
+# the tick count and last report of a tick that found nothing to do.
+UNAUDITED = {"clock", "reconcile"}
+
+
+def audited_view(world: World) -> dict:
+    data = world.to_dict()
+    return {key: value for key, value in data.items() if key not in UNAUDITED | {"audit"}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=st.lists(pooled_ops, min_size=10, max_size=30), seed=st.integers(0, 99))
+@example(stream=[(op, "ann", True) for op in (
+    "add", "join", "tick", "bucket", "read-join", "sync", "probe", "leave", "tick", "remove",
+)], seed=0)
+def test_every_state_change_outside_clock_and_reconcile_grows_the_audit(stream, seed):
+    world = World.new(seed=seed)
+    last = [audited_view(world), len(world.audit)]
+
+    def check(op):
+        view, events = audited_view(world), len(world.audit)
+        assert view == last[0] or events > last[1], f"{op!r} changed state without an event"
+        last[:] = [view, events]
+
+    apply_ops(world, stream, after_each=check)
+
+
+def test_the_clock_and_a_no_op_tick_change_state_without_an_event(converged):
+    def changed(step) -> set[str]:
+        before, events = converged.to_dict(), len(converged.audit)
+        step()
+        after = converged.to_dict()
+        assert len(converged.audit) == events
+        return {key for key in after if after[key] != before[key]}
+
+    assert changed(lambda: converged.advance(15)) == {"clock"}
+    assert changed(converged.reconciler.reconcile_tick) == {"reconcile"}
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from mirrorplane import KeyState, PrincipalKind
 from mirrorplane.durations import HOUR
 from mirrorplane.errors import (
+    DuplicateId,
     NoActiveKey,
     OwnerMismatch,
     PermissionDenied,
@@ -57,6 +58,17 @@ def test_store_owner_mismatch_and_unknown_owner(populated, vault):
         vault.store_key(HELEN_MIRROR, "mallory", "cc" * 16)
     with pytest.raises(UnknownOwner):
         vault.store_key(mirror("ghost"), "ghost", "dd" * 16)
+
+
+def test_store_refuses_a_key_id_the_entry_already_holds(populated, vault):
+    first = vault.store_key(HELEN_MIRROR, "helen", "aa" * 16)
+    vault.entry(HELEN_MIRROR).next_serial = 1  # as a hand-edited state file may say
+    events = len(populated.audit)
+    with pytest.raises(DuplicateId):
+        vault.store_key(HELEN_MIRROR, "helen", "bb" * 16)
+    assert vault.entry(HELEN_MIRROR).versions == [first]
+    assert first.state is KeyState.ACTIVE and first.secret == "aa" * 16
+    assert len(populated.audit) == events
 
 
 def test_read_key_owner_gate_exhaustive(populated, vault):

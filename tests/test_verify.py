@@ -432,6 +432,31 @@ def test_tokens_with_unknown_subject_or_key_are_caught(converged):
     ]
 
 
+def test_stale_id_counters_and_a_shared_secret_are_caught(converged):
+    converged.authz.token_for("posts-analyze", mirror("posts-analyze"))
+
+    def edit(data):
+        data["tokens"]["next"] = 1
+        helen, posts = data["vault"]["entries"]
+        posts["next_serial"] = 1
+        posts["versions"][0]["secret"] = helen["versions"][0]["secret"]
+
+    assert found(verify_world(corrupt(converged, edit))) == [
+        ("IdReuseViolation", mirror("posts-analyze")),
+        ("SecretReuseViolation", mirror("posts-analyze") + "#v1"),
+        ("IdReuseViolation", "tokens"),
+    ]
+
+
+def test_redacted_secrets_are_not_a_shared_secret(converged):
+    def edit(data):
+        for entry in data["vault"]["entries"]:
+            for version in entry["versions"]:
+                version["secret"] = "[redacted]"
+
+    assert verify_world(corrupt(converged, edit)) == []
+
+
 # -- the rendered output of both tiers, pinned -----------------------------------
 
 
