@@ -85,10 +85,14 @@ class Token:
 class TokenStore:
     def __init__(self) -> None:
         self._tokens: dict[str, Token] = {}
-        self._next = 1
+        self.next_serial = 1
 
     def next_id(self) -> str:
-        return f"tok-{self._next:06d}"
+        return self.token_id(self.next_serial)
+
+    @staticmethod
+    def token_id(serial: int) -> str:
+        return f"tok-{serial:06d}"
 
     def mint(self, subject: str, minted_from: str, issued_at: int, via_actas: str | None) -> Token:
         if self.next_id() in self._tokens:
@@ -100,7 +104,7 @@ class TokenStore:
             issued_at=issued_at,
             via_actas=via_actas,
         )
-        self._next += 1
+        self.next_serial += 1
         self._tokens[token.token_id] = token
         return token
 
@@ -111,10 +115,10 @@ class TokenStore:
         return [self._tokens[t] for t in sorted(self._tokens)]
 
     def to_dict(self) -> dict:
-        return encode({"next": self._next, "tokens": self.tokens()})
+        return encode({"next": self.next_serial, "tokens": self.tokens()})
 
     def load_state(self, data: dict) -> None:
-        self._next = counter(data["next"], "next")
+        self.next_serial = counter(data["next"], "next")
         self._tokens = {t.token_id: t for t in decode(list[Token], data["tokens"])}
 
 

@@ -21,7 +21,7 @@ from .cloud import Cloud, MirrorAccount
 from .codec import encode
 from .directory import DirectoryGroup, PrincipalKind
 from .durations import parse_duration
-from .errors import ControlPlaneError, NotFound, SidecarAhead, StateFileMissing
+from .errors import ControlPlaneError, NotFound, ParseError, SidecarAhead, StateFileMissing
 from .reconciler import ShardingMode, parse_config
 from .scenario import run_script
 from .verify import verify_world
@@ -49,8 +49,8 @@ class Session:
     ) -> None:
         self.state_path = Path(state_path) if state_path is not None else None
         self._world = world
-        # Audit events in the state file, which the sidecar may not exceed.
-        self._saved_events = len(world.audit) if world is not None else 0
+        # The mark of the world in the state file; None makes the next commit save.
+        self._saved = _mark(world) if world is not None else None
 
     @property
     def audit_path(self) -> Path:
@@ -65,23 +65,24 @@ class Session:
                     f"no state file at {self.state_path}; run 'init' first"
                 )
             self._world = World.load(self.state_path)
-            self._saved_events = len(self._world.audit)
+            self._saved = _mark(self._world)
         return self._world
 
     def replace(self, world: World) -> None:
-        """Swap in another world and empty the sidecar, so its commit appends every event."""
+        """Swap in another world and empty the sidecar; the next commit always saves."""
         self._world = world
+        self._saved = None
         if self.state_path is not None:
             open(self.audit_path, "w", opener=_owner_only).close()
 
     def commit(self) -> None:
-        if self.state_path is None:
+        """Save the world and append its new events to the sidecar, if it changed."""
+        if self.state_path is None or _mark(self.world) == self._saved:
             return
-        world = self.world
         written, size = self._sidecar_events()
-        world.save(self.state_path)
+        self.world.save(self.state_path)
         self._sync_audit_sidecar(written, size)
-        self._saved_events = len(world.audit)
+        self._saved = _mark(self.world)
 
     def _sidecar_events(self) -> tuple[int, int]:
         """Whole lines in the sidecar and their bytes, checked before either file is written."""
@@ -90,10 +91,10 @@ class Session:
             return 0, 0
         data = path.read_bytes()
         existing = data.count(b"\n")
-        if existing > self._saved_events:
+        if self._saved and existing > self._saved[0]:  # after replace it is empty
             raise SidecarAhead(
                 f"{path} holds {existing} audit events but {self.state_path} only "
-                f"{self._saved_events}; restore the matching state file"
+                f"{self._saved[0]}; restore the matching state file"
             )
         return existing, data.rfind(b"\n") + 1
 
@@ -105,13 +106,19 @@ class Session:
             handle.writelines(compact_json(encode(e)) + "\n" for e in events)
 
 
-def writes(command, save: bool = True):
-    """Run a command's body on the world and print the text it returns, once.
+def _mark(world: World) -> tuple[int, int, int]:
+    # Every change outside the clock and a tick emits an audit event, and every
+    # tick advances the tick count: a world whose mark stands has not changed.
+    return len(world.audit), world.clock, world.reconciler.tick_count
+
+
+def on_world(command):
+    """Run a command's body on the world, commit it, and print the text it returns, once.
 
     A newline is added unless the text ends in one.  A failing body prints
-    nothing, except ``verify``'s violations before exit 2.  A write saves the
-    world even if its body fails, so its partial changes and audit events
-    persist as they do inside ``scenario run``.
+    nothing, except ``verify``'s violations before exit 2.  What a body changed
+    is saved even if it then failed, as inside ``scenario run``; a body that
+    changed nothing leaves both files untouched.
     """
 
     @functools.wraps(command)
@@ -124,15 +131,11 @@ def writes(command, save: bool = True):
             text = failed.report
             raise
         finally:
-            if save:
-                session.commit()
+            session.commit()
             if text:
                 click.echo(text, nl=not text.endswith("\n"))
 
     return click.pass_obj(run)
-
-
-reads = functools.partial(writes, save=False)
 
 
 def output_path(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
@@ -150,6 +153,7 @@ def output_path(ctx: click.Context, param: click.Parameter, value: str | None) -
 @click.option(
     "--state",
     "state_path",
+    type=click.Path(dir_okay=False),
     default="world.json",
     show_default=True,
     help="Path of the world state file.",
@@ -201,7 +205,7 @@ def dir_group() -> None:
 @click.option("--kind", type=click.Choice([k.value for k in PrincipalKind]), required=True)
 @click.option("--hdfs-home", default=None)
 @click.option("--org-unit", default="general", show_default=True)
-@writes
+@on_world
 def dir_add_user(world: World, name: str, kind: str, hdfs_home: str | None,
                  org_unit: str) -> str:
     record = world.directory.add_principal(name, PrincipalKind(kind), hdfs_home, org_unit)
@@ -213,7 +217,7 @@ def dir_add_user(world: World, name: str, kind: str, hdfs_home: str | None,
 
 @dir_group.command("add-group")
 @click.argument("name")
-@writes
+@on_world
 def dir_add_group(world: World, name: str) -> str:
     return f"added group {world.directory.add_group(name).name}"
 
@@ -221,7 +225,7 @@ def dir_add_group(world: World, name: str) -> str:
 @dir_group.command("join")
 @click.argument("group")
 @click.argument("principal")
-@writes
+@on_world
 def dir_join(world: World, group: str, principal: str) -> str:
     result = world.directory.join_group(group, principal)
     return f"{result.name}: {len(result.members)} member(s)"
@@ -229,7 +233,7 @@ def dir_join(world: World, group: str, principal: str) -> str:
 
 @dir_group.command("remove")
 @click.argument("name")
-@writes
+@on_world
 def dir_remove(world: World, name: str) -> str:
     result = world.directory.remove_principal(name)
     groups = ", ".join(result["removed_from_groups"]) or "-"
@@ -238,7 +242,7 @@ def dir_remove(world: World, name: str) -> str:
 
 @dir_group.command("show")
 @click.argument("name", required=False)
-@reads
+@on_world
 def dir_show(world: World, name: str | None) -> str:
     directory = world.directory
     if name is None:
@@ -271,14 +275,14 @@ def cloud_group() -> None:
 
 
 @cloud_group.command("tree")
-@reads
+@on_world
 def cloud_tree(world: World) -> str:
     return world.cloud.render_tree()
 
 
 @cloud_group.command("show")
 @click.argument("ident")
-@reads
+@on_world
 def cloud_show(world: World, ident: str) -> str:
     found = world.cloud.lookup(ident)
     if isinstance(found, MirrorAccount):
@@ -296,7 +300,7 @@ def cloud_show(world: World, ident: str) -> str:
 @cloud_group.command("set-quota")
 @click.argument("project")
 @click.argument("limit", type=int)
-@writes
+@on_world
 def cloud_set_quota(world: World, project: str, limit: int) -> str:
     quota = world.cloud.set_quota(project, limit)
     return f"{quota.project}: {quota.current_count}/{quota.max_service_accounts} accounts"
@@ -310,7 +314,7 @@ def vault_group() -> None:
 
 
 @vault_group.command("ls")
-@reads
+@on_world
 def vault_ls(world: World) -> str:
     return "\n".join(
         f"{entry.account_email} owner={entry.owner_principal} "
@@ -322,7 +326,7 @@ def vault_ls(world: World) -> str:
 @vault_group.command("read")
 @click.option("--as", "caller", required=True, help="Principal performing the read.")
 @click.argument("email")
-@writes
+@on_world
 def vault_read(world: World, caller: str, email: str) -> str:
     version = world.vault.read_key(email, caller)
     return f"{version.key_id} state={version.state.value} secret={version.secret}"
@@ -337,14 +341,14 @@ def clock_group() -> None:
 
 @clock_group.command("advance")
 @click.argument("duration", type=parse_duration)
-@writes
+@on_world
 def clock_advance(world: World, duration: int) -> str:
     now = world.advance(duration)
     return f"clock advanced {duration}m to t={now}"
 
 
 @clock_group.command("show")
-@reads
+@on_world
 def clock_show(world: World) -> str:
     return f"t={world.clock}"
 
@@ -353,7 +357,7 @@ def clock_show(world: World) -> str:
 @click.option("--once", is_flag=True, help="Run a single tick (default).")
 @click.option("--ticks", type=click.IntRange(min=0), default=None,
               help="Run N ticks, advancing one tick_interval after each.")
-@writes
+@on_world
 def reconcile(world: World, once: bool, ticks: int | None) -> str:
     """Run the account-creator loop."""
     if ticks is not None and once:
@@ -372,7 +376,7 @@ def report_group() -> None:
 
 @report_group.command("last")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@reads
+@on_world
 def report_last(world: World, fmt: str) -> str:
     report = world.reconciler.last_report
     if report is None:
@@ -389,14 +393,14 @@ def onboard_group() -> None:
 
 @onboard_group.command("bucket")
 @click.argument("principal")
-@writes
+@on_world
 def onboard_bucket(world: World, principal: str) -> str:
     mapping = world.onboarder.provision_bucket(principal)
     return f"gs://{mapping.bucket_id} <- {mapping.hdfs_home} (owner: {principal})"
 
 
 @onboard_group.command("sync-readers")
-@writes
+@on_world
 def onboard_sync(world: World) -> str:
     return world.onboarder.sync_reader_groups().render()
 
@@ -416,7 +420,7 @@ def _reader_pair(world: World, bucket: str):
 @readers_group.command("join")
 @click.argument("bucket")
 @click.argument("principal")
-@writes
+@on_world
 def readers_join(world: World, bucket: str, principal: str) -> str:
     pair = _reader_pair(world, bucket)
     return _members(world.directory.join_group(pair.ldap_group, principal))
@@ -425,7 +429,7 @@ def readers_join(world: World, bucket: str, principal: str) -> str:
 @readers_group.command("leave")
 @click.argument("bucket")
 @click.argument("principal")
-@writes
+@on_world
 def readers_leave(world: World, bucket: str, principal: str) -> str:
     pair = _reader_pair(world, bucket)
     return _members(world.directory.leave_group(pair.ldap_group, principal))
@@ -442,7 +446,7 @@ def authz_group() -> None:
 @click.option("--as", "caller", required=True,
               help="Principal name, or workspace:<name> to impersonate via ActAs.")
 @click.argument("email")
-@writes
+@on_world
 def authz_token(world: World, caller: str, email: str) -> str:
     token = world.authz.token_for(caller, email)
     via = f" via_actas={token.via_actas}" if token.via_actas else ""
@@ -453,7 +457,7 @@ def authz_token(world: World, caller: str, email: str) -> str:
 @click.argument("token")
 @click.argument("bucket")
 @click.argument("action", type=click.Choice([a.value for a in AccessAction]))
-@writes
+@on_world
 def authz_check(world: World, token: str, bucket: str, action: str) -> str:
     return world.authz.authorize(token, bucket, AccessAction(action)).render()
 
@@ -463,7 +467,7 @@ def authz_check(world: World, token: str, bucket: str, action: str) -> str:
 @click.argument("email")
 @click.option("--access", "accesses", multiple=True, required=True,
               metavar="BUCKET:ACTION", help="Repeatable bucket:action pair.")
-@writes
+@on_world
 def authz_job(world: World, caller: str, email: str, accesses: tuple[str, ...]) -> str:
     buckets: list[str] = []
     actions: list[AccessAction] = []
@@ -485,7 +489,7 @@ def audit_group() -> None:
 
 @audit_group.command("tail")
 @click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True)
-@reads
+@on_world
 def audit_tail(world: World, count: int) -> str:
     events = world.audit.tail(count)
     if count and not events:
@@ -501,7 +505,7 @@ def audit_tail(world: World, count: int) -> str:
 @click.option("--job", default=None)
 @click.option("--since", type=int, default=None, help="Inclusive lower bound on t.")
 @click.option("--until", type=int, default=None, help="Inclusive upper bound on t.")
-@reads
+@on_world
 def audit_query(world: World, actor: str | None, action: str | None,
                 target: str | None, tick: int | None, job: str | None,
                 since: int | None, until: int | None) -> str:
@@ -518,7 +522,7 @@ def audit_query(world: World, actor: str | None, action: str | None,
 @click.option("--converged", is_flag=True,
               help="Also check the set-equalities that hold only at a fixed point.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@reads
+@on_world
 def verify(world: World, converged: bool, fmt: str) -> str:
     """Check every invariant; exit 2 when violations are found."""
     violations = verify_world(world, include_convergence=converged)
@@ -541,7 +545,7 @@ def state_group() -> None:
               help="Include raw secrets (default output is redacted).")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               callback=output_path, metavar="PATH", help="Write to a file instead of stdout.")
-@reads
+@on_world
 def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
     text = world.export_text(reveal_secrets=reveal_secrets)
     if output is None:
@@ -551,7 +555,7 @@ def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
 
 
 @state_group.command("import")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
 def state_import(session: Session, path: str) -> None:
     session.replace(World.load(path))
@@ -567,14 +571,17 @@ def scenario_group() -> None:
 
 
 @scenario_group.command("run")
-@click.argument("script", type=click.Path(exists=True))
+@click.argument("script", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strict", is_flag=True, help="Stop at the first failing command.")
 @click.option("--transcript", "transcript_out", type=click.Path(dir_okay=False), default=None,
               callback=output_path, metavar="PATH", help="Write the transcript as canonical JSON.")
 @click.pass_obj
 def scenario_run(session: Session, script: str, strict: bool,
                  transcript_out: str | None) -> None:
-    text = Path(script).read_text(encoding="utf-8")
+    try:
+        text = Path(script).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"script is not UTF-8 text: {exc}") from exc
     entries = run_script(text, lambda argv: dispatch(session, argv), strict=strict)
     for entry in entries:
         click.echo(entry.render())
@@ -598,29 +605,22 @@ def dispatch(session: Session, argv: list[str]) -> tuple[str, str | None]:
     buffer = io.StringIO()
     try:
         with redirect_stdout(buffer):
-            cli.main(args=argv, standalone_mode=False, obj=session)
+            code = cli.main(args=argv, standalone_mode=False, obj=session)
     except ControlPlaneError as exc:
         return buffer.getvalue(), f"{exc.name}: {exc}"
-    except click.exceptions.Exit as exc:
-        if exc.exit_code == 0:
-            return buffer.getvalue(), None
-        return buffer.getvalue(), f"Exit: code {exc.exit_code}"
     except click.ClickException as exc:
         return buffer.getvalue(), f"UsageError: {exc.format_message()}"
-    return buffer.getvalue(), None
+    return buffer.getvalue(), f"Exit: code {code}" if code else None
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        return cli.main(args=argv, standalone_mode=False) or 0
     except VerificationFailed:
         return 2
     except ControlPlaneError as exc:
         click.echo(f"error: {exc.name}: {exc}", err=True)
         return 1
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.ClickException as exc:
         exc.show()
         return 1
-    return 0

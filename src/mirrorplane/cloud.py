@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .audit import AuditLog
-from .codec import decode, encode
+from .codec import counter, decode, encode
 from .errors import (
     AlreadyDisabled,
     ControlPlaneError,
@@ -117,6 +117,10 @@ class ProjectQuota:
     project: str
     max_service_accounts: int = DEFAULT_QUOTA
     current_count: int = 0
+
+    def __post_init__(self) -> None:
+        counter(self.max_service_accounts, "max_service_accounts", least=1)
+        counter(self.current_count, "current_count")
 
 
 def mirror_email(account_name: str, project: str) -> str:
@@ -373,7 +377,8 @@ class Cloud:
         })
 
     def load_state(self, data: dict) -> None:
-        self.default_quota = data.get("default_quota", DEFAULT_QUOTA)
+        default = data.get("default_quota", DEFAULT_QUOTA)
+        self.default_quota = counter(default, "default_quota", least=1)
         self._nodes = {n.id: n for n in decode(list[ResourceNode], data["nodes"])}
         self._accounts = {a.email: a for a in decode(list[MirrorAccount], data["accounts"])}
         self._active = {}

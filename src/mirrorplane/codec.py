@@ -34,10 +34,11 @@ def optional(default):
     return dataclasses.field(default=default, metadata={_OPTIONAL: True})
 
 
-def counter(value, name: str) -> int:
-    """A loaded counter that later commands increment: a non-negative ``int``, no ``bool``."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+def counter(value, name: str, least: int = 0) -> int:
+    """A loaded counter or limit that later commands do arithmetic on: an ``int``, no ``bool``."""
+    if type(value) is not int or value < least:
+        what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {what}, not {value!r}")
     return value
 
 

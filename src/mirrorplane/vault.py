@@ -84,7 +84,10 @@ class VaultEntry:
         counter(self.next_serial, "next_serial")
 
     def next_key_id(self) -> str:
-        return f"{self.account_email}#v{self.next_serial}"
+        return self.key_id(self.next_serial)
+
+    def key_id(self, serial: int) -> str:
+        return f"{self.account_email}#v{serial}"
 
     def active_version(self) -> KeyVersion | None:
         for version in self.versions:

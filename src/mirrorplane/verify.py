@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .cloud import (AccountStatus, MirrorAccount, NodeKind, ResourceNode, Role, RoleBinding,
                     sa_principal, workspace_principal)
@@ -191,11 +192,8 @@ def _check_vault(world: World, out: list[Violation]) -> None:
                 "SingleActiveViolation", entry.account_email,
                 f"{len(active)} active versions",
             ))
-        if world.vault.find_version(entry.next_key_id()) is not None:
-            out.append(Violation(
-                "IdReuseViolation", entry.account_email,
-                f"next key id {entry.next_key_id()!r} is already held",
-            ))
+        _check_reissue(out, entry.account_email, "key id", "next_serial", entry.next_serial,
+                       {v.key_id for v in entry.versions}, entry.key_id)
         if world.cloud.has_account(entry.account_email):
             acct = world.cloud.account(entry.account_email)
             if acct.source_principal != entry.owner_principal:
@@ -279,11 +277,23 @@ def _check_buckets(world: World, bound: list[Bound], accounts: list[MirrorAccoun
             ))
 
 
+def _check_reissue(out: list[Violation], target: str, noun: str, field: str,
+                   next_serial: int, held: set[str], issue: Callable[[int], str]) -> None:
+    """Report the first held id that a counter now at ``next_serial`` would issue again."""
+    # ``issue`` formats the id of a serial; a held id is an issued one if ``issue`` gives it back.
+    tails = filter(None, (key[len(key.rstrip("0123456789")):] for key in held))
+    again = min((k for k in map(int, tails) if k >= next_serial and issue(k) in held),
+                default=None)
+    if again is not None:
+        out.append(Violation("IdReuseViolation", target, (
+            f"next {noun} {issue(again)!r} is already held" if again == next_serial
+            else f"{noun} {issue(again)!r} is already held ({field} is {next_serial})"
+        )))
+
+
 def _check_tokens(world: World, out: list[Violation]) -> None:
-    if world.tokens.get(world.tokens.next_id()) is not None:
-        out.append(Violation(
-            "IdReuseViolation", "tokens", f"next token id {world.tokens.next_id()!r} is already held",
-        ))
+    _check_reissue(out, "tokens", "token id", "tokens.next", world.tokens.next_serial,
+                   {token.token_id for token in world.tokens.tokens()}, world.tokens.token_id)
     for token in world.tokens.tokens():
         if not world.cloud.has_account(token.subject):
             out.append(Violation(

@@ -164,6 +164,6 @@ class World:
     def load(cls, path: str | Path) -> "World":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaError(f"state file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import click
 import pytest
 
-from mirrorplane.cli import Session, dispatch, main
+import mirrorplane
+from mirrorplane.cli import Session, cli, dispatch, main
 from mirrorplane.scenario import parse_script, run_script
 from mirrorplane.errors import ParseError
 from mirrorplane.world import World
@@ -588,3 +592,145 @@ def test_init_refuses_a_tick_interval_below_one(tmp_path, monkeypatch, capsys, d
         "error: ParseError: bad config: tick_interval must be positive\n"
     )
     assert not (tmp_path / "world.json").exists()
+
+
+def test_verify_reports_a_held_key_id_beyond_the_next(walked, tmp_path, capsys):
+    def plant(data):
+        entry = entry_of(data, POSTS_MIRROR)
+        assert entry["next_serial"] == 2
+        entry["versions"].insert(0, dict(
+            entry["versions"][0], key_id=f"{POSTS_MIRROR}#v3", secret="f" * 32,
+            state="invalid", state_history=["active", "retiring", "invalid"], retiring_since=0,
+        ))
+
+    assert reimport(tmp_path, plant) == 0
+    capsys.readouterr()
+    assert run("verify") == 2
+    assert capsys.readouterr().out == (
+        f"IdReuseViolation [{POSTS_MIRROR}]: key id '{POSTS_MIRROR}#v3' is already held "
+        "(next_serial is 2)\n"
+    )
+
+
+def test_verify_reports_a_held_token_id_beyond_the_next(walked, tmp_path, capsys):
+    def plant(data):
+        tokens = data["tokens"]
+        tokens["tokens"] = [t for t in tokens["tokens"] if t["token_id"] == "tok-000002"]
+        tokens["next"] = 1
+
+    assert reimport(tmp_path, plant) == 0
+    capsys.readouterr()
+    assert run("verify") == 2
+    assert capsys.readouterr().out == (
+        "IdReuseViolation [tokens]: token id 'tok-000002' is already held (tokens.next is 1)\n"
+    )
+
+
+def quota_of(data: dict, project: str) -> dict:
+    (quota,) = [q for q in data["cloud"]["quotas"] if q["project"] == project]
+    return quota
+
+
+@pytest.mark.parametrize("edit", [
+    # The first two loaded, then crashed verify or a tick with a TypeError; the
+    # third made every tick that overflows a full project create another one.
+    lambda data: quota_of(data, "service-accounts-project").update(current_count="2"),
+    lambda data: data["cloud"].update(default_quota="7"),
+    lambda data: data["cloud"].update(default_quota=0),
+    lambda data: quota_of(data, "service-accounts-project").update(max_service_accounts=0),
+    lambda data: quota_of(data, "service-accounts-project").update(max_service_accounts=True),
+], ids=["current_count str", "default_quota str", "default_quota 0",
+        "max_service_accounts 0", "max_service_accounts bool"])
+def test_a_bad_quota_number_fails_the_import(walked, tmp_path, capsys, edit):
+    before = walked.read_bytes()
+    capsys.readouterr()
+    assert reimport(tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError") and "(at /cloud)" in err
+    assert walked.read_bytes() == before
+
+
+# -- unreadable input ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("--state", "adir", "clock", "show"),
+    ("--state", "adir", "init", "--force"),
+    ("state", "import", "adir"),
+    ("scenario", "run", "adir"),
+], ids=" ".join)
+def test_a_directory_given_as_input_is_a_usage_error(statefile, capsys, argv):
+    (statefile.parent / "adir").mkdir()
+    names = sorted(p.name for p in statefile.parent.iterdir())
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "'adir' is a directory" in captured.err
+    assert sorted(p.name for p in statefile.parent.iterdir()) == names
+
+
+NOT_JSON = "error: SchemaError: state file is not valid JSON"
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (("--state", "utf16.json", "clock", "show"), NOT_JSON),
+    (("state", "import", "utf16.json"), NOT_JSON),
+    (("scenario", "run", "utf16.json"), "error: ParseError: script is not UTF-8 text"),
+], ids=["state", "state import", "scenario run"])
+def test_input_that_is_not_utf8_is_a_command_error(statefile, capsys, argv, expect):
+    (statefile.parent / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    before = statefile.read_bytes()
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(expect)
+    assert statefile.read_bytes() == before
+
+
+# -- exit codes ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def exit_three():
+    """A command that only calls ``ctx.exit(3)``, registered for one test."""
+    @cli.command("exit-three")
+    @click.pass_context
+    def exit_three(ctx: click.Context) -> None:
+        ctx.exit(3)
+
+    yield
+    del cli.commands["exit-three"]
+
+
+def test_an_exit_code_from_click_is_kept(statefile, tmp_path, capsys, exit_three):
+    assert run("exit-three") == 3
+    script = tmp_path / "exit.txt"
+    script.write_text("exit-three\nclock show\n", encoding="utf-8")
+    assert run("scenario", "run", str(script)) == 0
+    assert capsys.readouterr().out == (
+        "L1 [error] exit-three\n    Exit: code 3\nL2 [ok] clock show\n    t=0\n"
+    )
+
+
+def test_the_module_entry_point_exits_with_the_documented_codes(tmp_path):
+    src = str(Path(mirrorplane.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def mirrorplane_cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "mirrorplane", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = mirrorplane_cli("init", "--seed", "1")
+    assert (done.returncode, done.stderr) == (0, "")
+    done = mirrorplane_cli("init")
+    assert (done.returncode, done.stderr) == (
+        1, "error: ControlPlaneError: state file world.json exists; use --force to overwrite\n",
+    )
+    state = tmp_path / "world.json"
+    data = json.loads(state.read_text(encoding="utf-8"))
+    data["directory"]["groups"].append({"name": "planted", "members": ["ghost"]})
+    state.write_text(json.dumps(data), encoding="utf-8")
+    done = mirrorplane_cli("verify")
+    assert (done.returncode, done.stdout) == (
+        2, "ReferentialIntegrityViolation [planted]: member 'ghost' does not exist\n",
+    )

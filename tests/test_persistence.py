@@ -237,3 +237,80 @@ def test_the_sidecar_is_owner_only(statefile):
     finally:
         os.umask(previous)
     assert sidecar_holds_the_state_events(statefile)
+
+
+# -- a commit saves only a world that changed ----------------------------------------
+
+
+@pytest.fixture
+def walked(statefile):
+    assert main(["init", "--force", "--seed", "42"]) == 0
+    assert main(["scenario", "run", str(WALKTHROUGH), "--strict"]) == 0
+    return statefile
+
+
+def both_files(statefile) -> tuple[int, bytes, bytes]:
+    """The state file's inode and the bytes of the state file and its sidecar."""
+    sidecar = Path(f"{statefile}.audit.jsonl")
+    return statefile.stat().st_ino, statefile.read_bytes(), sidecar.read_bytes()
+
+
+@pytest.mark.parametrize(("argv", "code"), [
+    (["clock", "show"], 0),
+    (["verify"], 0),
+    (["state", "export"], 0),
+    (["audit", "tail"], 0),
+    # Writes that fail before changing anything.
+    (["dir", "add-user", "helen", "--kind", "human"], 1),
+    (["readers", "join", "gs://nope", "x"], 1),
+    (["reconcile", "--once", "--ticks", "1"], 1),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_a_command_that_changes_nothing_leaves_both_files(walked, capsys, argv, code):
+    before = both_files(walked)
+    assert main(argv) == code
+    assert both_files(walked) == before
+
+
+@pytest.mark.parametrize(("argv", "section"), [
+    (["clock", "advance", "15m"], "clock"),
+    (["reconcile", "--once"], "reconcile"),  # a tick that finds nothing to do
+])
+def test_a_change_without_an_audit_event_is_still_saved(walked, capsys, argv, section):
+    before = json.loads(walked.read_text(encoding="utf-8"))
+    assert main(argv) == 0
+    after = json.loads(walked.read_text(encoding="utf-8"))
+    assert {key for key in after if after[key] != before[key]} == {section}
+
+
+def run_script(tmp_path, *lines: str) -> int:
+    script = tmp_path / "script.txt"
+    script.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return main(["scenario", "run", str(script), "--strict"])
+
+
+def test_init_force_saves_a_world_with_the_same_mark(statefile, tmp_path, capsys):
+    # Both fresh worlds hold one event at t=0 and tick 0; only the seed differs.
+    # In one scenario the session has saved the first when the second replaces it.
+    assert run_script(tmp_path, "init --force --seed 1", "init --force --seed 2") == 0
+    assert World.load(statefile).secrets.seed == 2
+    assert sidecar_holds_the_state_events(statefile)
+
+
+def test_importing_the_same_world_still_writes_both_files(walked, tmp_path, capsys):
+    assert main(["state", "export", "--reveal-secrets", "-o", "same.json"]) == 0
+    inode = walked.stat().st_ino
+    assert run_script(tmp_path, "clock show", "state import same.json") == 0
+    assert walked.stat().st_ino != inode
+    assert sidecar_holds_the_state_events(walked)
+
+
+def test_with_the_sidecar_ahead_a_write_that_changes_nothing_reports_its_own_error(
+        statefile, capsys):
+    shutil.copy(statefile, "old.json")
+    assert main(["dir", "add-group", "a"]) == 0
+    shutil.copy("old.json", statefile)
+    capsys.readouterr()
+    assert main(["dir", "add-group", "mirror-account-users"]) == 1
+    assert capsys.readouterr().err.startswith("error: DuplicateName: ")
+    assert main(["dir", "add-group", "b"]) == 1
+    assert capsys.readouterr().err.startswith("error: SidecarAhead: ")

@@ -24,14 +24,17 @@ names = st.from_regex(r"[a-z][a-z0-9_-]{0,8}", fullmatch=True)
 legal_names = st.from_regex(r"[a-z][a-z0-9-]{0,8}", fullmatch=True)
 
 # One weighted op in a world-building stream: (op, name, kind/flag).
-op_kinds = st.sampled_from(
-    ["add", "add", "add", "join", "join", "leave", "remove",
-     "tick", "tick", "advance", "bucket", "read-join", "sync", "probe"]
-)
+OP_KINDS = ["add", "add", "add", "join", "join", "leave", "remove",
+            "tick", "tick", "advance", "bucket", "read-join", "sync", "probe"]
+op_kinds = st.sampled_from(OP_KINDS)
 ops = st.tuples(op_kinds, names, st.booleans())
-# The same ops over four names, so that joins, leaves and removals find their
+# The ops that only the audit-growth property draws: the other writes the CLI
+# exposes (cloud set-quota, vault read, authz check|job, readers leave).
+WRITE_KINDS = ["set-quota", "vault-read", "authorize", "job", "read-leave"]
+# Every op over four names, so that joins, leaves and removals find their
 # principal; "c_d" is refused a mirror.
-pooled_ops = st.tuples(op_kinds, st.sampled_from(["ann", "bob", "helen", "c_d"]), st.booleans())
+pooled_ops = st.tuples(st.sampled_from(OP_KINDS + WRITE_KINDS),
+                       st.sampled_from(["ann", "bob", "helen", "c_d"]), st.booleans())
 
 
 def apply_ops(world: World, stream, after_each=None) -> None:
@@ -65,6 +68,26 @@ def apply_ops(world: World, stream, after_each=None) -> None:
                 email = world.cloud.active_mirror_for(name)
                 if email:
                     world.authz.authenticate(name, email)
+            elif op == "set-quota":
+                world.cloud.set_quota(world.config.base_project, 1 if flag else 100)
+            elif op == "vault-read":
+                email = world.cloud.active_mirror_for(name)
+                if email:
+                    world.vault.read_key(email, name if flag else "helen")
+            elif op == "authorize":
+                held = [token.token_id for token in world.tokens.tokens()]
+                token = held[-1] if flag and held else "tok-999999"
+                world.authz.authorize(token, bucket_id_for(name), AccessAction.READ)
+            elif op == "job":
+                world.authz.submit_job(
+                    name, world.cloud.active_mirror_for(name) or f"{name}@nowhere",
+                    [bucket_id_for(name), bucket_id_for("helen")],
+                    [AccessAction.WRITE, AccessAction.READ],
+                )
+            elif op == "read-leave":
+                world.directory.leave_group(
+                    ldap_reader_group(bucket_id_for(name)), name if flag else "helen"
+                )
         except ControlPlaneError:
             pass
         if after_each is not None:
@@ -114,6 +137,15 @@ def audited_view(world: World) -> dict:
 @example(stream=[(op, "ann", True) for op in (
     "add", "join", "tick", "bucket", "read-join", "sync", "probe", "leave", "tick", "remove",
 )], seed=0)
+@example(stream=[
+    ("add", "helen", True), ("add", "ann", False), ("join", "helen", True),
+    ("join", "ann", True), ("tick", "ann", True), ("bucket", "helen", True),
+    ("bucket", "ann", True), ("read-join", "ann", False), ("sync", "ann", True),
+    ("probe", "ann", True), ("vault-read", "ann", True), ("vault-read", "ann", False),
+    ("authorize", "ann", True), ("authorize", "helen", True), ("authorize", "ann", False),
+    ("job", "ann", True), ("job", "bob", True), ("set-quota", "ann", True),
+    ("set-quota", "ann", False), ("read-leave", "ann", False), ("read-leave", "ann", False),
+], seed=0)
 def test_every_state_change_outside_clock_and_reconcile_grows_the_audit(stream, seed):
     world = World.new(seed=seed)
     last = [audited_view(world), len(world.audit)]
