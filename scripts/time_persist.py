@@ -1,0 +1,69 @@
+"""Time the state file's load and save and three CLI commands on the operator-cli world.
+
+Builds the benchmark's operator-cli world at 1k, 4k and 16k principals (or at
+the ``--sizes`` given) through ``bench/workloads.operator_cli_setup`` (buckets
+and reserve scale with the principals, as in the 1k benchmark), which writes
+the state file and its audit sidecar; a build that disagrees with the
+generator's model fails the run.  Then, in each of several rounds, it times on
+every size, once each: ``World.load`` of the state file, ``World.save`` of the
+world just loaded to a second file, and the in-process CLI commands ``clock
+show``, ``clock advance 1m`` and ``reconcile --once`` (a no-op tick) on the
+state file, each of which must exit 0.  The two writes change the state file,
+so each round starts one minute and one tick later.  The flags, rounds and
+output file are ``scripts/timing.py``'s.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import timing
+
+COMMANDS = {
+    "clock_show_s": ["clock", "show"],
+    "clock_advance_s": ["clock", "advance", "1m"],
+    "reconcile_once_s": ["reconcile", "--once"],
+}
+
+
+def build(principals: int) -> tuple[tempfile.TemporaryDirectory, Path, dict]:
+    from mirrorplane.world import World
+    from workloads import Run, Scale, operator_cli_setup
+
+    scale = Scale(principals=principals, reserve=principals // 10, buckets=principals // 4)
+    run = Run()
+    workdir = tempfile.TemporaryDirectory()  # removed when the run ends
+    state = Path(workdir.name) / "world.json"
+    _, build_s = timing.timed(lambda: operator_cli_setup(1, scale, run, state))
+    if run.failed:
+        raise SystemExit(f"world build at {principals} disagrees with the model: {run.mismatches}")
+    info = {"build_s": round(build_s, 2), "events": len(World.load(state).audit),
+            "state_bytes": state.stat().st_size}
+    return workdir, state, info
+
+
+def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict]) -> tuple[dict[str, float], dict]:
+    from mirrorplane.world import World
+    from workloads import run_cli
+
+    _, state, info = built
+    world, load_s = timing.timed(lambda: World.load(state))
+    _, save_s = timing.timed(lambda: world.save(state.with_name("saved.json")))
+    times = {"load_s": load_s, "save_s": save_s}
+    for name, argv in COMMANDS.items():
+        (code, out), times[name] = timing.timed(lambda: run_cli(state, argv))
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}: {out}")
+    return times, info
+
+
+if __name__ == "__main__":
+    timing.main(
+        __doc__, sizes=(1000, 4000, 16000), out="BENCH_persist.json", prepare=build,
+        measure=measure,
+        method=("rounds over the worlds operator_cli_setup writes at seed 1 with their sidecars; "
+                "each round times, on every size and once each with gc.collect() before each, "
+                "World.load, World.save of the loaded world to another file, and the in-process "
+                "CLI commands clock show, clock advance 1m and reconcile --once on the state file"),
+    )

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .codec import decode, encode
-from .errors import ControlPlaneError
+from .errors import ControlPlaneError, malformed
 
 CONTROL_PLANE = "control-plane"
 
@@ -71,11 +71,20 @@ class AuditLog:
 
     The log owns the logical clock (``now``) and the current tick and job
     (``scope``), so every event is stamped in one place.
+
+    A loaded log keeps its events as the parsed dicts and decodes them the
+    first time it is iterated or queried, so a command that never reads the
+    audit does not pay for it; ``len``, ``emit`` and ``to_dict`` never decode.
+    Until then ``_events`` holds only the events emitted since the load,
+    ``_offset`` is the number of kept dicts before them, and ``to_dict`` hands
+    on the kept dicts themselves, which no caller may change in place.
     """
 
     def __init__(self, now: Callable[[], int]) -> None:
         self.now = now
         self._events: list[AuditEvent] = []
+        self._kept: list[dict] = []
+        self._offset = 0
         self._tick_id: int | None = None
         self._job_id: str | None = None
 
@@ -92,7 +101,7 @@ class AuditLog:
     def emit(self, actor: str, action: str, target: str, outcome: Outcome,
              category: Category) -> AuditEvent:
         event = AuditEvent(
-            seq=len(self._events) + 1,
+            seq=self._offset + len(self._events) + 1,
             at=self.now(),
             actor=actor,
             action=action,
@@ -135,16 +144,28 @@ class AuditLog:
         return self.emit(CONTROL_PLANE, action, target, Outcome.FAILURE, Category.CONTROL)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._offset + len(self._events)
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return iter(self._events)
+        return iter(self.decoded())
 
     def events(self) -> tuple[AuditEvent, ...]:
-        return tuple(self._events)
+        return tuple(self.decoded())
+
+    def decoded(self) -> list[AuditEvent]:
+        """Every event in order; kept ones are decoded now (a malformed one raises SchemaError)."""
+        if self._kept:
+            self._events[:0] = _decode(self._kept)
+            self._kept, self._offset = [], 0
+        return self._events
 
     def tail(self, n: int = 10) -> list[AuditEvent]:
-        return self._events[-n:] if n > 0 else []
+        """The last ``n`` events, decoding only the kept ones among them, on every call."""
+        if n <= 0:
+            return []
+        new = self._events[-n:]
+        older = n - len(new)
+        return (_decode(self._kept[-older:]) if older and self._kept else []) + new
 
     def query(
         self,
@@ -164,7 +185,7 @@ class AuditLog:
         exact.  ``since``/``until`` bound the logical timestamp inclusively.
         """
         out = []
-        for ev in self._events:
+        for ev in self.decoded():
             if actor is not None and ev.actor != actor:
                 continue
             if action is not None and not ev.action.startswith(action):
@@ -182,8 +203,16 @@ class AuditLog:
             out.append(ev)
         return out
 
-    def to_dict(self) -> list[dict]:
-        return encode(self._events)
+    def to_dict(self, start: int = 0) -> list[dict]:
+        """The events from index ``start`` on; kept events are passed on as they were loaded."""
+        return self._kept[start:] + encode(self._events[max(start - self._offset, 0):])
 
     def load_state(self, data: list[dict]) -> None:
-        self._events = decode(list[AuditEvent], data)
+        if not isinstance(data, list):
+            raise TypeError(f"the audit must be a list, not {type(data).__name__}")
+        self._events, self._kept, self._offset = [], data, len(data)
+
+
+def _decode(data: list[dict]) -> list[AuditEvent]:
+    with malformed("audit"):
+        return decode(list[AuditEvent], data)

@@ -1,6 +1,6 @@
 """Command-line entry point wiring every module over one persisted world.
 
-State lives in a single canonical JSON file (``--state``, default
+State lives in a single compact JSON file (``--state``, default
 ``./world.json``); the audit log additionally appends to a line-delimited
 sidecar next to it.  Exit codes: 0 success, 1 command error, 2 verify found
 violations.
@@ -100,10 +100,10 @@ class Session:
 
     def _sync_audit_sidecar(self, written: int, size: int) -> None:
         """Append the events the line-delimited sidecar lacks to its whole lines."""
-        events = self.world.audit.events()[written:]
+        events = self.world.audit.to_dict(written)
         with open(self.audit_path, "a", encoding="utf-8", opener=_owner_only) as handle:
             handle.truncate(size)  # drops a torn last line left by a crash mid-append
-            handle.writelines(compact_json(encode(e)) + "\n" for e in events)
+            handle.writelines(compact_json(e) + "\n" for e in events)
 
 
 def _mark(world: World) -> tuple[int, int, int]:
@@ -558,7 +558,9 @@ def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
 def state_import(session: Session, path: str) -> None:
-    session.replace(World.load(path))
+    world = World.load(path)
+    world.audit.decoded()  # a malformed event refuses the import before a file is touched
+    session.replace(world)
     session.commit()
     click.echo(f"imported {path}")
 

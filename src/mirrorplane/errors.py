@@ -7,6 +7,9 @@ human message.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class ControlPlaneError(Exception):
     """Base class for all control-plane failures."""
@@ -148,6 +151,15 @@ class ParseError(ControlPlaneError):
 
 class SchemaError(ControlPlaneError):
     """State document is structurally invalid; message carries a JSON pointer."""
+
+
+@contextmanager
+def malformed(section: str) -> Iterator[None]:
+    """Report a section that fails to decode inside the block as a SchemaError at it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed section (at /{section}): {exc}") from exc
 
 
 class StateFileMissing(ControlPlaneError):

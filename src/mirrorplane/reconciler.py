@@ -51,6 +51,9 @@ class ReconcileConfig:
     quota_default: int = 100
 
     def __post_init__(self) -> None:
+        # Typed first: validate's comparisons pass a float or bool and fail a str with TypeError.
+        for key in (*DURATION_KEYS, "quota_default"):
+            counter(getattr(self, key), key)
         self.validate()
 
     def validate(self) -> None:

@@ -1,8 +1,9 @@
 """One world: every module's state wired together behind a logical clock.
 
-The canonical serialization is key-sorted, two-space-indented JSON with
-integer timestamps, so snapshots diff cleanly and export -> import -> export
-is byte-identical.
+The canonical serialization (``state export``) is key-sorted,
+two-space-indented JSON with integer timestamps, so snapshots diff cleanly and
+export -> import -> export is byte-identical.  The working state file holds the
+same document as compact JSON, which is faster to write; either form loads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .authz import AuthzEngine, TokenStore
 from .cloud import Cloud, NodeKind
 from .codec import counter, decode, encode
 from .directory import Directory
-from .errors import SchemaError
+from .errors import SchemaError, malformed
 from .onboarder import Onboarder
 from .reconciler import ReconcileConfig, Reconciler
 from .vault import SecretSource, Vault, redact
@@ -143,10 +144,8 @@ class World:
             )
 
         def load(section: str, loader):
-            try:
+            with malformed(section):
                 return loader(data[section])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"malformed section (at /{section}): {exc}") from exc
 
         config = load("config", lambda d: decode(ReconcileConfig, d))
         world = cls(config, load("secrets", lambda d: decode(SecretSource, d)))
@@ -158,7 +157,7 @@ class World:
     # -- files ---------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        write_atomic(path, self.export_text(reveal_secrets=True))
+        write_atomic(path, compact_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "World":

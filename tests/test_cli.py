@@ -594,6 +594,28 @@ def test_init_refuses_a_tick_interval_below_one(tmp_path, monkeypatch, capsys, d
     assert not (tmp_path / "world.json").exists()
 
 
+@pytest.mark.parametrize(("key", "value"), [
+    # Each loaded and verified ok; a 15.5 tick_interval saved a clock of 15.5
+    # on the next tick, which no later command could load.
+    ("tick_interval", 15.5), ("retiring_grace", 2.5), ("quota_default", True),
+    ("rotation_age", "7d"),
+])
+def test_an_untyped_config_value_fails_the_import_and_init(walked, tmp_path, capsys, key, value):
+    before = walked.read_bytes()
+    capsys.readouterr()
+    assert reimport(tmp_path, lambda data: data["config"].update({key: value})) == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: malformed section (at /config): "
+        f"{key} must be a non-negative integer, not {value!r}\n"
+    )
+    if not isinstance(value, str):  # a config file writes durations as "7d"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert run("init", "--force", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith("error: ParseError: ")
+    assert walked.read_bytes() == before
+
+
 def test_verify_reports_a_held_key_id_beyond_the_next(walked, tmp_path, capsys):
     def plant(data):
         entry = entry_of(data, POSTS_MIRROR)

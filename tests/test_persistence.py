@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mirrorplane import audit
 from mirrorplane.cli import Session, main
 from mirrorplane.codec import encode
 from mirrorplane.onboarder import cloud_reader_group
@@ -314,3 +315,112 @@ def test_with_the_sidecar_ahead_a_write_that_changes_nothing_reports_its_own_err
     assert capsys.readouterr().err.startswith("error: DuplicateName: ")
     assert main(["dir", "add-group", "b"]) == 1
     assert capsys.readouterr().err.startswith("error: SidecarAhead: ")
+
+
+# -- a compact working file and a lazily decoded audit --------------------------------
+
+
+def test_the_working_file_is_the_export_in_compact_form(walked, capsys):
+    capsys.readouterr()
+    assert main(["state", "export", "--reveal-secrets"]) == 0
+    exported = json.loads(capsys.readouterr().out)
+    text = walked.read_text(encoding="utf-8")
+    assert json.loads(text) == exported
+    assert text == compact_json(exported) + "\n"
+
+
+def test_an_indented_working_file_still_loads_and_the_next_write_compacts_it(
+        walked, tmp_path, capsys):
+    # The same world twice: once as written (compact), once as an old indented file.
+    compact = tmp_path / "compact.json"
+    shutil.copy(walked, compact)
+    shutil.copy(f"{walked}.audit.jsonl", f"{compact}.audit.jsonl")
+    assert main(["state", "export", "--reveal-secrets", "-o", "old.json"]) == 0
+    shutil.copy("old.json", walked)
+    before = both_files(walked)
+    for argv in (["clock", "show"], ["audit", "tail"], ["verify"]):
+        assert main(argv) == 0
+    assert both_files(walked) == before
+    capsys.readouterr()
+    assert main(["state", "export", "--reveal-secrets"]) == 0
+    assert capsys.readouterr().out == Path("old.json").read_text(encoding="utf-8")
+
+    for state in (walked, compact):
+        assert main(["--state", str(state), "dir", "add-group", "after-the-upgrade"]) == 0
+    text = walked.read_text(encoding="utf-8")
+    assert text == compact_json(json.loads(text)) + "\n"
+    assert both_files(walked)[1:] == both_files(compact)[1:]
+    exports = []
+    for state in (walked, compact):
+        capsys.readouterr()
+        assert main(["--state", str(state), "state", "export", "--reveal-secrets"]) == 0
+        exports.append(capsys.readouterr().out)
+    assert exports[0] == exports[1]
+
+
+def test_a_malformed_event_fails_only_the_commands_that_read_the_audit(walked, capsys):
+    data = json.loads(walked.read_text(encoding="utf-8"))
+    data["audit"][-1]["outcome"] = "maybe"
+    walked.write_text(compact_json(data) + "\n", encoding="utf-8")
+    shutil.copy(walked, "malformed.json")
+    before = both_files(walked)
+    capsys.readouterr()
+    for argv in (["audit", "tail"], ["audit", "query"], ["verify"],
+                 ["state", "import", "malformed.json"]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: SchemaError: malformed section (at /audit): ")
+        assert both_files(walked) == before
+
+    assert main(["clock", "show"]) == 0
+    # A write carries the undecoded events forward unchanged.
+    assert main(["dir", "add-group", "after-the-bad-event"]) == 0
+    saved = json.loads(walked.read_text(encoding="utf-8"))["audit"]
+    assert saved[:-1] == data["audit"] and saved[-1]["target"] == "after-the-bad-event"
+
+
+@pytest.fixture
+def decodes(monkeypatch) -> list[int]:
+    """The number of events in each call that decodes kept audit events."""
+    calls: list[int] = []
+    real = audit.decode
+
+    def counted(tp, data):
+        calls.append(len(data))
+        return real(tp, data)
+
+    monkeypatch.setattr(audit, "decode", counted)
+    return calls
+
+
+def test_a_loaded_log_is_decoded_only_by_a_command_that_reads_it(walked, decodes, capsys):
+    for argv in (["clock", "show"], ["dir", "add-group", "lazy"], ["clock", "advance", "1m"],
+                 ["reconcile", "--once"], ["state", "export"], ["audit", "tail", "-n", "0"]):
+        assert main(argv) == 0
+    assert decodes == []
+    events = len(World.load(walked).audit)
+    assert decodes == []
+    assert main(["audit", "tail", "-n", "3"]) == 0
+    assert decodes == [3]
+    assert main(["audit", "query", "--action", "dir."]) == 0
+    assert decodes == [3, events]
+
+
+@pytest.mark.parametrize("emitted", [0, 2], ids=["none-since-load", "two-since-load"])
+def test_tail_decodes_only_the_kept_events_it_returns(walked, decodes, emitted):
+    lazy, full = World.load(walked), World.load(walked)
+    full.audit.decoded()
+    for world in (lazy, full):
+        for i in range(emitted):
+            world.directory.add_group(f"since-load-{i}")
+    decodes.clear()
+    total = len(full.audit)
+    for n in (0, 1, total, total + 1):
+        got = lazy.audit.tail(n)
+        assert [e.render() for e in got] == [e.render() for e in full.audit.tail(n)]
+        assert got == full.audit.tail(n)
+        kept = max(min(n, total) - emitted, 0)
+        assert decodes == ([kept] if kept else [])
+        decodes.clear()
+    assert len(lazy.audit) == total and decodes == []

@@ -7,16 +7,19 @@ safety claim that every reachable state verifies clean.
 
 import json
 import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
 from mirrorplane import AccessAction, KeyState, PrincipalKind, World, verify_world
+from mirrorplane.cli import Session
 from mirrorplane.cloud import AccountStatus, workspace_principal
+from mirrorplane.codec import encode
 from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
 from mirrorplane.errors import ControlPlaneError
 from mirrorplane.onboarder import bucket_id_for, ldap_reader_group, map_hdfs_path, principal_for_bucket
 from mirrorplane.vault import SecretSource
-from mirrorplane.world import canonical_json
+from mirrorplane.world import canonical_json, compact_json
 
 import oracles
 
@@ -417,3 +420,42 @@ def test_group_membership_matches_member_list(stream):
                 for n in SOURCES:
                     assert world.directory.is_member(g, n) == \
                         oracles.expect_member(snap, g, n), (op, g, n)
+
+
+# What a CLI write does to a lazily loaded world after its load: ticks, clock
+# moves and audited directory changes.
+AFTER_LOAD = ["tick", "advance", "group"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=st.lists(ops, max_size=25), after=st.lists(st.sampled_from(AFTER_LOAD), max_size=6),
+       drop_sidecar=st.booleans())
+def test_a_lazily_loaded_world_saves_and_syncs_like_a_decoded_one(stream, after, drop_sidecar):
+    world = World.new(seed=4)
+    apply_ops(world, stream)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "world.json"
+        session = Session(path)
+        session.replace(world)
+        session.commit()
+        lazy, full = World.load(path), World.load(path)
+        full.audit.decoded()
+        assert lazy.to_dict() == full.to_dict()
+        assert lazy.export_text(True) == full.export_text(True)
+
+        if drop_sidecar:  # the next commit appends every event, the kept ones included
+            session.audit_path.unlink()
+        session = Session(path, lazy)
+        for i, op in enumerate([*after, "group"]):
+            if op == "tick":
+                lazy.reconciler.reconcile_tick()
+            elif op == "advance":
+                lazy.advance(977)
+            else:
+                lazy.directory.add_group(f"after-load-{i}")
+        session.commit()
+        events = World.load(path).audit
+        assert session.audit_path.read_text(encoding="utf-8") == "".join(
+            compact_json(encode(event)) + "\n" for event in events
+        )
+        assert [event.seq for event in events] == list(range(1, len(events) + 1))

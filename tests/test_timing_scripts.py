@@ -17,7 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("time_*.py"))
 # Per-size values that are plain numbers, not a measurement's summary.
-SCALARS = {"time_reads.py": ("build_s", "nodes"), "time_reconcile.py": ("mirrors_created",)}
+SCALARS = {"time_persist.py": ("build_s", "events", "state_bytes"),
+           "time_reads.py": ("build_s", "nodes"), "time_reconcile.py": ("mirrors_created",)}
 
 
 def run_script(script: str, sizes: list[int], out: Path, rounds: int = 1):

@@ -73,6 +73,16 @@ def test_malformed_section_reports_pointer():
     assert "/vault" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("audit", [{}, "events", 3, None])
+def test_an_audit_that_is_not_a_list_is_refused_at_load(audit):
+    # The events themselves are decoded only when the log is first read.
+    data = json.loads(build_world().export_text(reveal_secrets=True))
+    data["audit"] = audit
+    with pytest.raises(SchemaError) as excinfo:
+        World.from_dict(data)
+    assert str(excinfo.value).startswith("malformed section (at /audit): the audit must be a list")
+
+
 def test_bad_schema_version_and_clock():
     data = json.loads(build_world().export_text(reveal_secrets=True))
     data["schema_version"] = 99
