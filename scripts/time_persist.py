@@ -6,9 +6,10 @@ and reserve scale with the principals, as in the 1k benchmark), which writes
 the state file and its audit sidecar; a build that disagrees with the
 generator's model fails the run.  Then, in each of several rounds, it times on
 every size, once each: ``World.load`` of the state file, ``World.save`` of the
-world just loaded to a second file, and the in-process CLI commands ``clock
-show``, ``clock advance 1m`` and ``reconcile --once`` (a no-op tick) on the
-state file, each of which must exit 0.  The two writes change the state file,
+world just loaded to a second file, which must hold the state file's bytes,
+and the in-process CLI commands ``clock show``, ``clock advance 1m`` and
+``reconcile --once`` (a no-op tick) on the state file, each of which must exit
+0.  The two writes change the state file,
 so each round starts one minute and one tick later.  The flags, rounds and
 output file are ``scripts/timing.py``'s.
 """
@@ -49,7 +50,10 @@ def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict]) -> tuple[dict
 
     _, state, info = built
     world, load_s = timing.timed(lambda: World.load(state))
-    _, save_s = timing.timed(lambda: world.save(state.with_name("saved.json")))
+    saved = state.with_name("saved.json")
+    _, save_s = timing.timed(lambda: world.save(saved))
+    if saved.read_bytes() != state.read_bytes():
+        raise SystemExit(f"World.save of the world loaded from {state} changed its bytes")
     times = {"load_s": load_s, "save_s": save_s}
     for name, argv in COMMANDS.items():
         (code, out), times[name] = timing.timed(lambda: run_cli(state, argv))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .codec import decode, encode
+from .codec import compact_json, decode, encode
 from .errors import ControlPlaneError, malformed
 
 CONTROL_PLANE = "control-plane"
@@ -77,7 +77,10 @@ class AuditLog:
     audit does not pay for it; ``len``, ``emit`` and ``to_dict`` never decode.
     Until then ``_events`` holds only the events emitted since the load,
     ``_offset`` is the number of kept dicts before them, and ``to_dict`` hands
-    on the kept dicts themselves, which no caller may change in place.
+    on the kept dicts themselves, which no caller may change in place.  A log
+    loaded from a compact state file also keeps the array's text less its
+    ``]`` (``_text``) for a save to write back, so only the events after the
+    first ``_covered`` are encoded again.
     """
 
     def __init__(self, now: Callable[[], int]) -> None:
@@ -85,6 +88,7 @@ class AuditLog:
         self._events: list[AuditEvent] = []
         self._kept: list[dict] = []
         self._offset = 0
+        self._text, self._covered = "[", 0
         self._tick_id: int | None = None
         self._job_id: str | None = None
 
@@ -207,10 +211,19 @@ class AuditLog:
         """The events from index ``start`` on; kept events are passed on as they were loaded."""
         return self._kept[start:] + encode(self._events[max(start - self._offset, 0):])
 
+    def array(self) -> tuple[str, str]:
+        """The log as a compact JSON array in two pieces: the kept text, then the events after it."""
+        added = compact_json(self.to_dict(self._covered))[1:]  # the new events and the "]"
+        return self._text, ("," if self._covered and added != "]" else "") + added
+
     def load_state(self, data: list[dict]) -> None:
         if not isinstance(data, list):
             raise TypeError(f"the audit must be a list, not {type(data).__name__}")
         self._events, self._kept, self._offset = [], data, len(data)
+
+    def keep_text(self, text: str) -> None:
+        """Keep ``text``, the just-loaded events' JSON array less its ``]``, to save them as they were."""
+        self._text, self._covered = text, self._offset
 
 
 def _decode(data: list[dict]) -> list[AuditEvent]:

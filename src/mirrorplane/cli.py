@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import io
 import os
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -616,8 +617,14 @@ def dispatch(session: Session, argv: list[str]) -> tuple[str, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
     try:
-        return cli.main(args=argv, standalone_mode=False) or 0
+        for arg in args:  # a lone surrogate (an undecodable byte) could not be saved
+            try:
+                arg.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"argument {arg!r} is not UTF-8 text") from None
+        return cli.main(args=args, standalone_mode=False) or 0
     except VerificationFailed:
         return 2
     except ControlPlaneError as exc:

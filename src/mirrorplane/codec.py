@@ -1,13 +1,18 @@
 """The one codec between dataclasses and JSON-ready data.
 
 ``encode`` turns a value into fresh plain containers: enums become their
-``.value`` and dataclasses become dicts keyed by field name, recursing into
+value and dataclasses become dicts keyed by field name, recursing into
 nested dataclasses, lists and dicts.  ``decode(type, data)`` inverts it for a
 dataclass, an enum, ``list[...]`` or ``X | None``.
 
 Each type's encoder and decoder is generated once, from the field types, the
 way ``dataclasses`` generates ``__init__``: an interpreted per-field loop costs
 about twice as much, and every CLI command decodes the whole world.
+
+Enums skip ``Enum``'s slow paths: a member encodes as its ``_value_`` and
+decodes through a plain value -> member dict; the enum is called only to raise
+its own error.  Dataclasses are still called: filling a frozen instance's
+``__dict__`` decodes twice as fast, but 8,000 events then hold 2.6 MB, not 1.2.
 
 A document may omit a field's key only when the field's type admits None (it
 decodes as None) or the field is declared with :func:`optional`.  Any other
@@ -18,6 +23,7 @@ missing key raises ``KeyError``, which ``World.from_dict`` reports as a
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
 from enum import Enum
@@ -40,6 +46,10 @@ def counter(value, name: str, least: int = 0) -> int:
         what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
         raise ValueError(f"{name} must be {what}, not {value!r}")
     return value
+
+
+def compact_json(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def encode(value):
@@ -73,7 +83,7 @@ def _build_encoder(kind):
     if kind is dict:
         return lambda value: {k: (get(type(v)) or encoder(type(v)))(v) for k, v in value.items()}
     if issubclass(kind, Enum):
-        return lambda value: value.value
+        return lambda value: value._value_
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
         ns: dict[str, Any] = {}
@@ -86,6 +96,10 @@ def _build_encoder(kind):
 
 
 def _build_decoder(tp):
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {member._value_: member for member in tp}
+        # A list or dict has no __hash__, and the dict could not look it up.
+        return lambda value: (members.get(value) if value.__hash__ else None) or tp(value)
     if not dataclasses.is_dataclass(tp):
         ns: dict[str, Any] = {}
         return eval(f"lambda d: {_expr(tp, 'd', ns, encoding=False)}", ns)
@@ -122,8 +136,8 @@ def _expr(tp, var: str, ns: dict, encoding: bool) -> str:
         return f"dict({var})"
     if isinstance(tp, type) and (issubclass(tp, Enum) or dataclasses.is_dataclass(tp)):
         if encoding and issubclass(tp, Enum):
-            return f"{var}.value"
+            return f"{var}._value_"
         name = f"_{'encode' if encoding else 'decode'}_{tp.__name__}"
-        ns[name] = encoder(tp) if encoding else (tp if issubclass(tp, Enum) else decoder(tp))
+        ns[name] = encoder(tp) if encoding else decoder(tp)
         return f"{name}({var})"
     return var

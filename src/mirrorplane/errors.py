@@ -146,7 +146,8 @@ class InvalidJobSpec(ControlPlaneError):
 # -- cli / state -------------------------------------------------------------
 
 class ParseError(ControlPlaneError):
-    """Scenario script could not be parsed; message carries the line number."""
+    """Input could not be parsed: a script (the message carries the line number),
+    a duration, a config or a command-line argument."""
 
 
 class SchemaError(ControlPlaneError):

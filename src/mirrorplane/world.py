@@ -17,7 +17,7 @@ from pathlib import Path
 from .audit import AuditLog
 from .authz import AuthzEngine, TokenStore
 from .cloud import Cloud, NodeKind
-from .codec import counter, decode, encode
+from .codec import compact_json, counter, decode, encode
 from .directory import Directory
 from .errors import SchemaError, malformed
 from .onboarder import Onboarder
@@ -26,6 +26,7 @@ from .vault import SecretSource, Vault, redact
 
 SCHEMA_VERSION = 1
 ORGANIZATION_ID = "org"
+_HEAD = '{"audit":'  # how a compact state file starts: the audit sorts first
 
 # Each store's section of the state document: (state key, World attribute).
 _SECTIONS = (
@@ -41,15 +42,20 @@ _SECTIONS = (
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Key-sorted JSON indented by two spaces, and a newline; an object one value at a time.
+
+    The indenting encoder holds every piece of its text at once (26 MB for the 1k world).
+    """
+    if not isinstance(data, dict) or not data:
+        return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    items = (f"  {json.dumps(key, ensure_ascii=False)}: "
+             + json.dumps(data[key], indent=2, sort_keys=True, ensure_ascii=False)
+             .replace("\n", "\n  ") for key in sorted(data))
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
-def compact_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def write_atomic(path: str | Path, text: str) -> None:
-    """Replace ``path`` with ``text`` so a reader sees the old or the new file, never a part.
+def write_atomic(path: str | Path, *pieces: str) -> None:
+    """Replace ``path`` with the text ``pieces`` join to, so a reader sees the old or the new file, never a part.
 
     The text goes to a temporary file in the same directory, which
     ``os.replace`` then renames over ``path``.  That survives the process
@@ -64,7 +70,7 @@ def write_atomic(path: str | Path, text: str) -> None:
         regular = True
     if not regular:
         with open(path, "w", encoding="utf-8") as out:
-            out.write(text)
+            out.writelines(pieces)
         return
     path = Path(path).resolve()
     handle = tempfile.NamedTemporaryFile(
@@ -72,7 +78,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     )
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)
@@ -114,14 +120,14 @@ class World:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self, reveal_secrets: bool = True) -> dict:
+    def to_dict(self, reveal_secrets: bool = True, sections=_SECTIONS) -> dict:
         data = {
             "schema_version": SCHEMA_VERSION,
             "clock": self.clock,
             "config": encode(self.config),
             "secrets": encode(self.secrets),
         }
-        for key, attribute in _SECTIONS:
+        for key, attribute in sections:
             data[key] = getattr(self, attribute).to_dict()
         if not reveal_secrets:
             redact(data["vault"])
@@ -157,12 +163,37 @@ class World:
     # -- files ---------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        write_atomic(path, compact_json(self.to_dict()) + "\n")
+        kept, added = self.audit.array()
+        rest = compact_json(self.to_dict(sections=_SECTIONS[:-1]))  # the audit is the last one
+        write_atomic(path, _HEAD, kept, added, ",", rest[1:], "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "World":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data, array = _parse(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaError(f"state file is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        world = cls.from_dict(data)
+        if array is not None:
+            world.audit.keep_text(array)
+        return world
+
+
+def _parse(text: str) -> tuple[object, str | None]:
+    """The document, and its audit array's text less the ``]`` if compact; else one json.loads."""
+    if text.startswith(_HEAD + "["):
+        scan, data = json.JSONDecoder().scan_once, {}
+        try:
+            audit, end = scan(text, len(_HEAD))
+            at = end
+            while text.startswith(',"', at):
+                key, colon = scan(text, at + 1)
+                if not text.startswith(":", colon):
+                    break  # ``at`` is left on the comma, which fails the check below
+                data[key], at = scan(text, colon + 1)
+            if "audit" not in data and text[at:] in ("}", "}\n"):  # a second audit would win
+                data["audit"] = audit
+                return data, text[len(_HEAD):end - 1]
+        except (StopIteration, ValueError):
+            pass  # the whole text's error is the one reported
+    return json.loads(text), None

@@ -756,3 +756,27 @@ def test_the_module_entry_point_exits_with_the_documented_codes(tmp_path):
     assert (done.returncode, done.stdout) == (
         2, "ReferentialIntegrityViolation [planted]: member 'ghost' does not exist\n",
     )
+
+
+def test_a_non_utf8_argument_is_a_command_error_that_touches_no_file(tmp_path):
+    src = str(Path(mirrorplane.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUTF8="1")  # argv decodes with surrogateescape
+
+    def mirrorplane_cli(*argv: bytes) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "mirrorplane", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=60)
+
+    assert mirrorplane_cli(b"init").returncode == 0
+    files = lambda: sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())  # noqa: E731
+    before = files()
+    for argv, shown in (
+        ([b"vault", b"read", b"--as", b"\xff", b"nobody@x.iam.gserviceaccount.com"], b"'\\udcff'"),
+        ([b"authz", b"token", b"--as", b"\xff", b"nobody@x.iam.gserviceaccount.com"], b"'\\udcff'"),
+        ([b"--state", b"\xff.json", b"init"], b"'\\udcff.json'"),
+    ):
+        done = mirrorplane_cli(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", b"error: ParseError: argument " + shown + b" is not UTF-8 text\n",
+        )
+        assert files() == before

@@ -1,9 +1,17 @@
 import copy
+import importlib
+import inspect
 import json
+import pkgutil
+from enum import Enum
 
 import pytest
 
+import mirrorplane
 from mirrorplane import AccessAction, PrincipalKind, World
+from mirrorplane.codec import decode, encode
+from mirrorplane.errors import SchemaError
+from mirrorplane.world import compact_json
 from mirrorplane.directory import SOURCE_OF_TRUTH_GROUP
 
 from conftest import HELEN_HOME, mirror
@@ -60,3 +68,41 @@ def test_document_without_optional_keys_imports_with_defaults(provisioned):
     assert all(t.via_actas is None for t in world.tokens.tokens())
     versions = [v for e in world.vault.entries() for v in e.versions]
     assert versions and all(v.retiring_since is None for v in versions)
+
+
+def _enums() -> list[type[Enum]]:
+    """Every Enum the package defines."""
+    found = []
+    for info in pkgutil.iter_modules(mirrorplane.__path__):
+        module = importlib.import_module(f"mirrorplane.{info.name}")
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, Enum) and cls.__module__ == module.__name__]
+    return found
+
+
+ENUMS = _enums()
+
+
+def test_the_enum_list_is_complete():
+    assert len(ENUMS) == 11 and mirrorplane.audit.Outcome in ENUMS
+
+
+@pytest.mark.parametrize("kind", ENUMS, ids=lambda kind: kind.__name__)
+def test_every_enum_member_round_trips_through_the_codec(kind):
+    for member in kind:
+        assert encode(member) == member.value and type(encode(member)) is type(member.value)
+        assert decode(kind, member.value) is member
+        assert decode(kind, member) is member
+
+
+@pytest.mark.parametrize("value", ["maybe", ["x"], {"x": 1}, None],
+                         ids=["non-member", "unhashable list", "unhashable dict", "null"])
+def test_an_outcome_that_is_no_member_fails_with_the_enums_own_error(converged, tmp_path, value):
+    data = json.loads(converged.export_text(reveal_secrets=True))
+    data["audit"][-1]["outcome"] = value
+    path = tmp_path / "world.json"
+    path.write_text(compact_json(data) + "\n", encoding="utf-8")
+    world = World.load(path)
+    with pytest.raises(SchemaError) as info:
+        world.audit.decoded()
+    assert str(info.value) == f"malformed section (at /audit): {value!r} is not a valid Outcome"

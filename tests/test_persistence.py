@@ -12,6 +12,7 @@ import pytest
 from mirrorplane import audit
 from mirrorplane.cli import Session, main
 from mirrorplane.codec import encode
+from mirrorplane.errors import SchemaError
 from mirrorplane.onboarder import cloud_reader_group
 from mirrorplane.world import World, compact_json
 
@@ -424,3 +425,189 @@ def test_tail_decodes_only_the_kept_events_it_returns(walked, decodes, emitted):
         assert decodes == ([kept] if kept else [])
         decodes.clear()
     assert len(lazy.audit) == total and decodes == []
+
+
+# -- a save writes back the audit text it loaded ---------------------------------------
+
+
+def holds_the_world(statefile) -> bool:
+    """The state file is the world's export in compact form, and the sidecar holds its events."""
+    export = World.load(statefile).export_text(reveal_secrets=True)
+    text = statefile.read_text(encoding="utf-8")
+    return text == compact_json(json.loads(export)) + "\n" and sidecar_holds_the_state_events(
+        statefile)
+
+
+@pytest.fixture
+def saves(monkeypatch) -> list[Path]:
+    """The path of each ``World.save`` call."""
+    paths: list[Path] = []
+    real = World.save
+
+    def counted(world, path):
+        paths.append(Path(path))
+        real(world, path)
+
+    monkeypatch.setattr(World, "save", counted)
+    return paths
+
+
+def test_an_empty_loaded_audit_takes_new_events_without_a_stray_comma(statefile, tmp_path):
+    data = json.loads(statefile.read_text(encoding="utf-8"))
+    data["audit"] = []
+    statefile.write_text(compact_json(data) + "\n", encoding="utf-8")
+    World.load(statefile).save(tmp_path / "unchanged.json")
+    assert (tmp_path / "unchanged.json").read_bytes() == statefile.read_bytes()
+
+    world = World.load(statefile)
+    world.directory.add_group("the-first-event")
+    world.save(statefile)
+    text = statefile.read_text(encoding="utf-8")
+    assert text.startswith('{"audit":[{"action":"directory.add_group",')
+    assert text == compact_json(json.loads(text)) + "\n"
+    assert [event.seq for event in World.load(statefile).audit] == [1]
+
+
+FOUR_WRITES = ["dir add-group four-1", "clock advance 15m", "reconcile --once",
+               "dir add-group four-2"]
+
+
+def test_a_scenario_of_four_writes_saves_four_times_what_the_commands_save_alone(
+        walked, tmp_path, saves, capsys):
+    alone = tmp_path / "alone.json"
+    shutil.copy(walked, alone)
+    shutil.copy(f"{walked}.audit.jsonl", f"{alone}.audit.jsonl")
+    assert run_script(tmp_path, *FOUR_WRITES) == 0
+    assert len(saves) == 4
+    for line in FOUR_WRITES:
+        assert main(["--state", str(alone), *line.split()]) == 0
+    assert both_files(walked)[1:] == both_files(alone)[1:]
+    assert holds_the_world(walked)
+
+
+def test_a_write_after_an_audit_query_in_one_scenario_keeps_the_loaded_text(
+        walked, tmp_path, decodes, capsys):
+    alone = tmp_path / "alone.json"
+    shutil.copy(walked, alone)
+    shutil.copy(f"{walked}.audit.jsonl", f"{alone}.audit.jsonl")
+    events = len(World.load(walked).audit)
+    assert run_script(tmp_path, "audit query --action dir.", "dir add-group after-the-query",
+                      "audit tail -n 1", "dir add-group after-the-tail") == 0
+    assert decodes == [events]  # the query decoded the log; the tail read it decoded
+    assert main(["--state", str(alone), "dir", "add-group", "after-the-query"]) == 0
+    assert main(["--state", str(alone), "dir", "add-group", "after-the-tail"]) == 0
+    assert both_files(walked)[1:] == both_files(alone)[1:]
+    assert holds_the_world(walked)
+
+
+def test_importing_a_copy_of_the_working_file_writes_it_back_byte_for_byte(
+        walked, tmp_path, capsys):
+    shutil.copy(walked, "copy.json")
+    other = tmp_path / "other.json"
+    assert main(["--state", str(other), "state", "import", "copy.json"]) == 0
+    assert other.read_bytes() == walked.read_bytes()
+    assert Path(f"{other}.audit.jsonl").read_bytes() == Path(f"{walked}.audit.jsonl").read_bytes()
+    assert holds_the_world(other)
+
+
+def test_a_failed_write_in_a_scenario_saves_nothing(walked, tmp_path, saves, capsys):
+    before = both_files(walked)
+    script = tmp_path / "failing.txt"
+    script.write_text("dir add-user helen --kind human\n", encoding="utf-8")
+    assert main(["scenario", "run", str(script)]) == 0
+    assert "DuplicateName" in capsys.readouterr().out
+    assert saves == []
+    assert both_files(walked) == before
+
+
+# -- a file the two-part parse does not take loads with one json.loads ------------------
+
+
+def one_parse_error(text: str) -> str:
+    """The SchemaError message of a load that parses the whole text at once."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        return f"state file is not valid JSON: {exc}"
+    with pytest.raises(SchemaError) as info:
+        World.from_dict(data)
+    return str(info.value)
+
+
+def audit_end(text: str) -> int:
+    """The offset just past a compact state file's audit array."""
+    return json.JSONDecoder().raw_decode(text, len('{"audit":'))[1]
+
+
+CUTS = {
+    "inside the audit": lambda text: audit_end(text) // 2,
+    "after the audit array": audit_end,
+    "after its comma": lambda text: audit_end(text) + 1,
+    "inside the rest": lambda text: (audit_end(text) + len(text)) // 2,
+    "before the closing brace": lambda text: len(text) - 2,
+}
+
+
+@pytest.mark.parametrize("cut", CUTS)
+def test_a_truncated_compact_file_reports_the_whole_texts_json_error(walked, cut):
+    text = walked.read_text(encoding="utf-8")
+    at = CUTS[cut](text)
+    walked.write_text(text[:at], encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        World.load(walked)
+    assert str(info.value) == one_parse_error(text[:at])
+    if cut == "after its comma":  # an offset in the whole text, not in the part after the audit
+        assert str(info.value) == (
+            "state file is not valid JSON: Expecting property name enclosed in double quotes: "
+            f"line 1 column {at + 1} (char {at})"
+        )
+
+
+def edit_document(statefile, edit) -> str:
+    """Rewrite the state file as ``edit`` leaves its document; return the new text."""
+    data = json.loads(statefile.read_text(encoding="utf-8"))
+    text = edit(data)
+    statefile.write_text(text, encoding="utf-8")
+    return text
+
+
+def without_audit(data) -> str:
+    del data["audit"]
+    return compact_json(data) + "\n"
+
+
+def audit_last(data) -> str:
+    audit = data.pop("audit")
+    return json.dumps({**data, "audit": audit}, separators=(",", ":"), ensure_ascii=False)
+
+
+def a_key_before_audit_then_cut(data) -> str:
+    return compact_json({"aardvark": 1, **data})[:-40]
+
+
+def second_audit(value):
+    def edit(data) -> str:
+        return compact_json(data)[:-1] + f',"audit":{json.dumps(value)}}}\n'
+    return edit
+
+
+@pytest.mark.parametrize("edit", [without_audit, a_key_before_audit_then_cut,
+                                  second_audit({"not": "a list"}), second_audit(7)],
+                         ids=["no audit key", "another first key, cut", "second audit key: dict",
+                              "second audit key: int"])
+def test_a_file_the_two_part_parse_refuses_gives_the_one_parse_error(walked, edit):
+    text = edit_document(walked, edit)
+    with pytest.raises(SchemaError) as info:
+        World.load(walked)
+    assert str(info.value) == one_parse_error(text)
+
+
+@pytest.mark.parametrize("edit", [audit_last, second_audit([])],
+                         ids=["audit last", "second audit key: empty list"])
+def test_a_file_the_two_part_parse_refuses_loads_as_one_parse_does(walked, tmp_path, edit):
+    text = edit_document(walked, edit)
+    world = World.load(walked)
+    assert world.to_dict() == World.from_dict(json.loads(text)).to_dict()
+    world.save(tmp_path / "saved.json")
+    saved = (tmp_path / "saved.json").read_text(encoding="utf-8")
+    assert saved == compact_json(json.loads(text)) + "\n"

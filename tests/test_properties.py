@@ -459,3 +459,40 @@ def test_a_lazily_loaded_world_saves_and_syncs_like_a_decoded_one(stream, after,
             compact_json(encode(event)) + "\n" for event in events
         )
         assert [event.seq for event in events] == list(range(1, len(events) + 1))
+
+
+def apply_more_ops(world: World, stream) -> None:
+    """``apply_ops`` on a world that an earlier ``apply_ops`` gave the source group."""
+    directory = world.directory
+    real = directory.add_group
+    directory.add_group = lambda name: None if name == SOURCE_OF_TRUTH_GROUP else real(name)
+    try:
+        apply_ops(world, stream)
+    finally:
+        del directory.add_group
+
+
+# Each round: an op stream, and whether the log is decoded (an audit read) before it.
+rounds = st.lists(st.tuples(st.lists(ops, max_size=10), st.booleans()), min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rounds=rounds)
+def test_every_commit_writes_the_export_in_compact_form_and_each_event_to_the_sidecar(rounds):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "world.json"
+        session = Session(path)
+        session.replace(World.new(seed=6))
+        session.commit()
+        for i, (stream, decode_first) in enumerate(rounds):
+            session = Session(path)  # a fresh load, as each CLI command makes
+            world = session.world
+            if decode_first:
+                world.audit.decoded()
+            (apply_more_ops if i else apply_ops)(world, stream)
+            session.commit()
+            text = path.read_text(encoding="utf-8")
+            assert text == compact_json(json.loads(world.export_text(True))) + "\n"
+            assert session.audit_path.read_text(encoding="utf-8") == "".join(
+                compact_json(encode(event)) + "\n" for event in world.audit
+            )
