@@ -225,6 +225,10 @@ class AuditLog:
         """Keep ``text``, the just-loaded events' JSON array less its ``]``, to save them as they were."""
         self._text, self._covered = text, self._offset
 
+    def drop_text(self) -> None:
+        """Encode every event again at the next save, in canonical form, as a log built in memory."""
+        self._text, self._covered = "[", 0
+
 
 def _decode(data: list[dict]) -> list[AuditEvent]:
     with malformed("audit"):

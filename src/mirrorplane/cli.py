@@ -561,6 +561,7 @@ def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
 def state_import(session: Session, path: str) -> None:
     world = World.load(path)
     world.audit.decoded()  # a malformed event refuses the import before a file is touched
+    world.audit.drop_text()  # written canonical, whatever the import's spacing or key order
     session.replace(world)
     session.commit()
     click.echo(f"imported {path}")

@@ -41,13 +41,12 @@ _SECTIONS = (
 )
 
 
-def canonical_json(data) -> str:
-    """Key-sorted JSON indented by two spaces, and a newline; an object one value at a time.
+def canonical_json(data: dict) -> str:
+    """A non-empty object as key-sorted JSON indented by two spaces, and a newline.
 
-    The indenting encoder holds every piece of its text at once (26 MB for the 1k world).
+    Each top-level value is dumped on its own: the indenting encoder holds every
+    piece of its text at once (26 MB for the 1k world in one dump).
     """
-    if not isinstance(data, dict) or not data:
-        return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     items = (f"  {json.dumps(key, ensure_ascii=False)}: "
              + json.dumps(data[key], indent=2, sort_keys=True, ensure_ascii=False)
              .replace("\n", "\n  ") for key in sorted(data))
@@ -182,18 +181,18 @@ class World:
 def _parse(text: str) -> tuple[object, str | None]:
     """The document, and its audit array's text less the ``]`` if compact; else one json.loads."""
     if text.startswith(_HEAD + "["):
-        scan, data = json.JSONDecoder().scan_once, {}
+        parse, data = json.JSONDecoder().raw_decode, {}
         try:
-            audit, end = scan(text, len(_HEAD))
+            audit, end = parse(text, len(_HEAD))
             at = end
-            while text.startswith(',"', at):
-                key, colon = scan(text, at + 1)
+            while text.startswith(',"', at):  # in place: parsing a copy raised the peak RSS
+                key, colon = parse(text, at + 1)
                 if not text.startswith(":", colon):
                     break  # ``at`` is left on the comma, which fails the check below
-                data[key], at = scan(text, colon + 1)
+                data[key], at = parse(text, colon + 1)
             if "audit" not in data and text[at:] in ("}", "}\n"):  # a second audit would win
                 data["audit"] = audit
                 return data, text[len(_HEAD):end - 1]
-        except (StopIteration, ValueError):
+        except ValueError:
             pass  # the whole text's error is the one reported
     return json.loads(text), None

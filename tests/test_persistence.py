@@ -510,6 +510,29 @@ def test_importing_a_copy_of_the_working_file_writes_it_back_byte_for_byte(
     assert holds_the_world(other)
 
 
+def test_importing_a_hand_edited_compact_file_writes_its_events_in_canonical_form(
+        walked, tmp_path, capsys):
+    text = walked.read_text(encoding="utf-8")
+    event = json.loads(text)["audit"][0]
+    assert event["job_id"] is None
+    edited = dict(reversed(event.items()))  # keys out of order
+    del edited["job_id"]  # an optional key left out
+    edited["note"] = "ignored"  # a key the decoder does not read
+    hand = json.dumps(edited, separators=(",", ":"), ensure_ascii=False)
+    imported = tmp_path / "edited.json"
+    imported.write_text(text.replace(compact_json(event), hand, 1), encoding="utf-8")
+    assert imported.read_text(encoding="utf-8").startswith('{"audit":[' + hand + ",")
+
+    other = tmp_path / "other.json"
+    assert main(["--state", str(other), "state", "import", str(imported)]) == 0
+    assert other.read_bytes() == walked.read_bytes()
+    state = other.read_text(encoding="utf-8")
+    export = World.load(other).export_text(reveal_secrets=True)
+    assert state == compact_json(json.loads(export)) + "\n"
+    sidecar = Path(f"{other}.audit.jsonl").read_text(encoding="utf-8")
+    assert sidecar == "".join(compact_json(e) + "\n" for e in json.loads(state)["audit"])
+
+
 def test_a_failed_write_in_a_scenario_saves_nothing(walked, tmp_path, saves, capsys):
     before = both_files(walked)
     script = tmp_path / "failing.txt"
