@@ -1,4 +1,4 @@
-"""Time the state file's load and save and three CLI commands on the operator-cli world.
+"""Time the state file's load and save and four CLI commands on the operator-cli world.
 
 Builds the benchmark's operator-cli world at 1k, 4k and 16k principals (or at
 the ``--sizes`` given) through ``bench/workloads.operator_cli_setup`` (buckets
@@ -7,15 +7,17 @@ the state file and its audit sidecar; a build that disagrees with the
 generator's model fails the run.  Then, in each of several rounds, it times on
 every size, once each: ``World.load`` of the state file, ``World.save`` of the
 world just loaded to a second file, which must hold the state file's bytes,
-and the in-process CLI commands ``clock show``, ``clock advance 1m`` and
-``reconcile --once`` (a no-op tick) on the state file, each of which must exit
-0.  The two writes change the state file,
-so each round starts one minute and one tick later.  The flags, rounds and
+and the in-process CLI commands ``clock show``, ``clock advance 1m``,
+``reconcile --once`` (a no-op tick) and ``dir add-user`` of a new headless
+user on the state file, each of which must exit 0; the user must then be in
+the directory loaded back.  The three writes change the state file, so each
+round starts one minute, one tick and one user later.  The flags, rounds and
 output file are ``scripts/timing.py``'s.
 """
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,7 @@ COMMANDS = {
     "clock_advance_s": ["clock", "advance", "1m"],
     "reconcile_once_s": ["reconcile", "--once"],
 }
+USERS = (f"timed-user-{n}" for n in itertools.count(1))
 
 
 def build(principals: int) -> tuple[tempfile.TemporaryDirectory, Path, dict]:
@@ -55,10 +58,14 @@ def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict]) -> tuple[dict
     if saved.read_bytes() != state.read_bytes():
         raise SystemExit(f"World.save of the world loaded from {state} changed its bytes")
     times = {"load_s": load_s, "save_s": save_s}
-    for name, argv in COMMANDS.items():
+    user = next(USERS)
+    add_user = ["dir", "add-user", user, "--kind", "headless"]
+    for name, argv in {**COMMANDS, "dir_add_user_s": add_user}.items():
         (code, out), times[name] = timing.timed(lambda: run_cli(state, argv))
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited {code}: {out}")
+    if not World.load(state).directory.has_principal(user):
+        raise SystemExit(f"dir add-user {user} exited 0, but {state} does not hold the user")
     return times, info
 
 
@@ -69,5 +76,6 @@ if __name__ == "__main__":
         method=("rounds over the worlds operator_cli_setup writes at seed 1 with their sidecars; "
                 "each round times, on every size and once each with gc.collect() before each, "
                 "World.load, World.save of the loaded world to another file, and the in-process "
-                "CLI commands clock show, clock advance 1m and reconcile --once on the state file"),
+                "CLI commands clock show, clock advance 1m, reconcile --once and dir add-user of a "
+                "new headless user on the state file"),
     )

@@ -8,12 +8,13 @@ invariant checker and the acceptance suite lean on.
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .codec import compact_json, decode, encode
+from .codec import compact_json, decode, encode, parse_at
 from .errors import ControlPlaneError, malformed
 
 CONTROL_PLANE = "control-plane"
@@ -72,23 +73,21 @@ class AuditLog:
     The log owns the logical clock (``now``) and the current tick and job
     (``scope``), so every event is stamped in one place.
 
-    A loaded log keeps its events as the parsed dicts and decodes them the
-    first time it is iterated or queried, so a command that never reads the
-    audit does not pay for it; ``len``, ``emit`` and ``to_dict`` never decode.
-    Until then ``_events`` holds only the events emitted since the load,
-    ``_offset`` is the number of kept dicts before them, and ``to_dict`` hands
-    on the kept dicts themselves, which no caller may change in place.  A log
-    loaded from a compact state file also keeps the array's text less its
-    ``]`` (``_text``) for a save to write back, so only the events after the
-    first ``_covered`` are encoded again.
+    A loaded log keeps the state file's text, whose audit array holds one
+    event per line, and parses nothing until it is read: ``len`` counts the
+    lines, ``tail(n)`` parses the last n, and the first iteration or query
+    parses and decodes them all.  Until then ``_events`` holds only the events
+    emitted since the load, after the ``_offset`` undecoded ones.  A save
+    writes the ``_covered`` loaded lines back as they are and encodes only the
+    events after them.
     """
 
     def __init__(self, now: Callable[[], int]) -> None:
         self.now = now
         self._events: list[AuditEvent] = []
-        self._kept: list[dict] = []
         self._offset = 0
-        self._text, self._covered = "[", 0
+        # The loaded array is _text[_start:_stop]; a log built in memory has "[]".
+        self._text, self._start, self._stop, self._covered = "[]", 0, 2, 0
         self._tick_id: int | None = None
         self._job_id: str | None = None
 
@@ -157,19 +156,19 @@ class AuditLog:
         return tuple(self.decoded())
 
     def decoded(self) -> list[AuditEvent]:
-        """Every event in order; kept ones are decoded now (a malformed one raises SchemaError)."""
-        if self._kept:
-            self._events[:0] = _decode(self._kept)
-            self._kept, self._offset = [], 0
+        """Every event in order; loaded ones are decoded now (a malformed one raises SchemaError)."""
+        if self._offset:
+            self._events[:0] = _decode(self._loaded(self._offset))
+            self._offset = 0
         return self._events
 
     def tail(self, n: int = 10) -> list[AuditEvent]:
-        """The last ``n`` events, decoding only the kept ones among them, on every call."""
+        """The last ``n`` events, parsing and decoding only the loaded ones among them, on every call."""
         if n <= 0:
             return []
         new = self._events[-n:]
-        older = n - len(new)
-        return (_decode(self._kept[-older:]) if older and self._kept else []) + new
+        older = min(n - len(new), self._offset)
+        return (_decode(self._loaded(older)) if older else []) + new
 
     def query(
         self,
@@ -207,27 +206,63 @@ class AuditLog:
             out.append(ev)
         return out
 
-    def to_dict(self, start: int = 0) -> list[dict]:
-        """The events from index ``start`` on; kept events are passed on as they were loaded."""
-        return self._kept[start:] + encode(self._events[max(start - self._offset, 0):])
-
-    def array(self) -> tuple[str, str]:
-        """The log as a compact JSON array in two pieces: the kept text, then the events after it."""
-        added = compact_json(self.to_dict(self._covered))[1:]  # the new events and the "]"
-        return self._text, ("," if self._covered and added != "]" else "") + added
+    def to_dict(self) -> list[dict]:
+        """Every event as plain data; loaded events not decoded yet are parsed, not decoded."""
+        return (self._loaded(self._offset) if self._offset else []) + encode(self._events)
 
     def load_state(self, data: list[dict]) -> None:
         if not isinstance(data, list):
             raise TypeError(f"the audit must be a list, not {type(data).__name__}")
-        self._events, self._kept, self._offset = [], data, len(data)
+        self._events = _decode(data)
 
-    def keep_text(self, text: str) -> None:
-        """Keep ``text``, the just-loaded events' JSON array less its ``]``, to save them as they were."""
-        self._text, self._covered = text, self._offset
+    def load_lines(self, text: str, start: int, stop: int) -> None:
+        """Take the array ``text[start:stop]``, one event per line, to parse when it is read."""
+        self._text, self._start, self._stop = text, start, stop
+        self._events, self._offset = [], text.count("\n", start, stop)
+        self._covered = self._offset
 
-    def drop_text(self) -> None:
-        """Encode every event again at the next save, in canonical form, as a log built in memory."""
-        self._text, self._covered = "[", 0
+    def own_lines(self) -> None:
+        """Keep a copy of the loaded array alone, so the rest of the file text can be freed."""
+        self._text, self._start, self._stop = self._text[self._start:self._stop], 0, self._stop - self._start
+
+    # -- the working file and its sidecar ------------------------------------
+
+    def lines(self) -> list[str]:
+        """Each event after the loaded lines, encoded as one compact line."""
+        return [compact_json(encode(event)) for event in self._events[self._covered - self._offset:]]
+
+    def text(self, lines: list[str]) -> tuple[str, ...]:
+        """The array the working file holds, in pieces: the loaded lines as they were, then ``lines``."""
+        head = self._text[self._start:self._stop - 1]  # less the "]"
+        if not lines:
+            return head, "]"
+        return head, ",\n" if self._covered else "\n", ",\n".join(lines), "]"
+
+    def sidecar_lines(self, written: int, lines: list[str] | None = None) -> Iterator[str]:
+        """The sidecar lines of the events from index ``written`` on, given ``lines()``: the file's, less commas."""
+        if written < self._covered:
+            old = self._text[self._line(self._covered - written):self._stop - 1]
+            yield old.replace(",\n", "\n") + "\n"
+        for line in (self.lines() if lines is None else lines)[max(written - self._covered, 0):]:
+            yield line + "\n"
+
+    def _line(self, count: int) -> int:
+        """Where the last ``count`` loaded lines start."""
+        at = self._stop
+        for _ in range(count):
+            at = self._text.rfind("\n", self._start, at)
+        return at + 1
+
+    def _loaded(self, count: int) -> list[dict]:
+        """The last ``count`` loaded events, parsed from their lines."""
+        with malformed("audit"):
+            if count == self._covered:  # the whole array, in place
+                data = parse_at(self._text, self._start, self._stop)
+            else:
+                data = json.loads("[" + self._text[self._line(count):self._stop])
+            if len(data) != count:
+                raise ValueError(f"{count} lines hold {len(data)} events")
+        return data
 
 
 def _decode(data: list[dict]) -> list[AuditEvent]:

@@ -26,7 +26,7 @@ from .errors import ControlPlaneError, NotFound, ParseError, SidecarAhead, State
 from .reconciler import ShardingMode, parse_config
 from .scenario import run_script
 from .verify import verify_world
-from .world import World, canonical_json, compact_json, write_atomic
+from .world import World, canonical_json, write_atomic
 
 # An ``open`` opener that creates a missing file owner-only (0600).
 _owner_only = functools.partial(os.open, mode=0o600)
@@ -52,6 +52,7 @@ class Session:
         self._world = world
         # The mark of the world in the state file; None makes the next commit save.
         self._saved = _mark(world) if world is not None else None
+        self._lines: list[str] | None = None  # a save's encoded events, until the sidecar has them
 
     @property
     def audit_path(self) -> Path:
@@ -81,7 +82,7 @@ class Session:
         if self.state_path is None or _mark(self.world) == self._saved:
             return
         written, size = self._sidecar_events()
-        self.world.save(self.state_path)
+        self._lines = self.world.save(self.state_path)
         self._sync_audit_sidecar(written, size)
         self._saved = _mark(self.world)
 
@@ -101,16 +102,18 @@ class Session:
 
     def _sync_audit_sidecar(self, written: int, size: int) -> None:
         """Append the events the line-delimited sidecar lacks to its whole lines."""
-        events = self.world.audit.to_dict(written)
+        lines, self._lines = self._lines, None
         with open(self.audit_path, "a", encoding="utf-8", opener=_owner_only) as handle:
             handle.truncate(size)  # drops a torn last line left by a crash mid-append
-            handle.writelines(compact_json(e) + "\n" for e in events)
+            handle.writelines(self.world.audit.sidecar_lines(written, lines))
 
 
 def _mark(world: World) -> tuple[int, int, int]:
     # Every change outside the clock and a tick emits an audit event, and every
-    # tick advances the tick count: a world whose mark stands has not changed.
-    return len(world.audit), world.clock, world.reconciler.tick_count
+    # tick counts in ``ticks_run``: a world whose mark stands has not changed.
+    # A store never decoded cannot have changed, so the mark decodes none.
+    reconciler = vars(world).get("reconciler")
+    return len(world.audit), world.clock, reconciler.ticks_run if reconciler else 0
 
 
 def on_world(command):
@@ -526,7 +529,7 @@ def audit_query(world: World, actor: str | None, action: str | None,
 @on_world
 def verify(world: World, converged: bool, fmt: str) -> str:
     """Check every invariant; exit 2 when violations are found."""
-    violations = verify_world(world, include_convergence=converged)
+    violations = verify_world(world.decode(), include_convergence=converged)
     if fmt == "json":
         text = canonical_json(encode({"violations": violations}))
     else:
@@ -559,9 +562,9 @@ def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
 def state_import(session: Session, path: str) -> None:
-    world = World.load(path)
-    world.audit.decoded()  # a malformed event refuses the import before a file is touched
-    world.audit.drop_text()  # written canonical, whatever the import's spacing or key order
+    # Decoded in full, so a malformed section refuses the import before a file is
+    # touched, and encoded again, whatever the import's spacing or key order.
+    world = World.from_dict(World.load(path).to_dict())
     session.replace(world)
     session.commit()
     click.echo(f"imported {path}")

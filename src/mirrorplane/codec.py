@@ -7,7 +7,7 @@ dataclass, an enum, ``list[...]`` or ``X | None``.
 
 Each type's encoder and decoder is generated once, from the field types, the
 way ``dataclasses`` generates ``__init__``: an interpreted per-field loop costs
-about twice as much, and every CLI command decodes the whole world.
+about twice as much, and a CLI command decodes every store it touches.
 
 Enums skip ``Enum``'s slow paths: a member encodes as its ``_value_`` and
 decodes through a plain value -> member dict; the enum is called only to raise
@@ -48,8 +48,18 @@ def counter(value, name: str, least: int = 0) -> int:
     return value
 
 
-def compact_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Key-sorted JSON without spaces, through one encoder: ``json.dumps`` with these
+# arguments builds a new encoder on every call.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_DECODER = json.JSONDecoder()
+
+
+def parse_at(text: str, start: int, stop: int):
+    """The JSON value that fills ``text[start:stop]``, parsed in place, not sliced out."""
+    value, end = _DECODER.raw_decode(text, start)
+    if end != stop:
+        raise json.JSONDecodeError("Value does not end where its line ends", text, end)
+    return value
 
 
 def encode(value):

@@ -176,6 +176,7 @@ class Reconciler:
         self.config = config
         self._audit = audit
         self.tick_count = 0
+        self.ticks_run = 0  # by this object, since it was made or loaded
         self.last_report: ReconcileReport | None = None
         # (folder, base) -> the lowest suffix that may still have room.  Counts
         # only grow within a tick and every tick starts a fresh cursor, so a
@@ -231,6 +232,7 @@ class Reconciler:
         with self._audit.scope(tick_id=report.tick_id):
             self._tick(report)
         self.tick_count = report.tick_id
+        self.ticks_run += 1
         self.last_report = report
         return report
 

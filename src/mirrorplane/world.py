@@ -3,7 +3,9 @@
 The canonical serialization (``state export``) is key-sorted,
 two-space-indented JSON with integer timestamps, so snapshots diff cleanly and
 export -> import -> export is byte-identical.  The working state file holds the
-same document as compact JSON, which is faster to write; either form loads.
+same document as compact JSON with each top-level section on a line of its
+own, and each audit event too, so a load finds the sections without a parse;
+either form loads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from .audit import AuditLog
 from .authz import AuthzEngine, TokenStore
 from .cloud import Cloud, NodeKind
-from .codec import compact_json, counter, decode, encode
+from .codec import compact_json, counter, decode, encode, parse_at
 from .directory import Directory
 from .errors import SchemaError, malformed
 from .onboarder import Onboarder
@@ -26,19 +28,23 @@ from .vault import SecretSource, Vault, redact
 
 SCHEMA_VERSION = 1
 ORGANIZATION_ID = "org"
-_HEAD = '{"audit":'  # how a compact state file starts: the audit sorts first
 
-# Each store's section of the state document: (state key, World attribute).
-_SECTIONS = (
-    ("directory", "directory"),
-    ("cloud", "cloud"),
-    ("vault", "vault"),
-    ("onboarder", "onboarder"),
-    ("tokens", "tokens"),
-    ("reconcile", "reconciler"),
-    ("authz", "authz"),
-    ("audit", "audit"),
-)
+# Each store: World attribute -> (its section of the state document, how a
+# world makes it empty).  A store comes after the stores it holds.
+_STORES = {
+    "directory": ("directory", lambda w: Directory(w.audit)),
+    "cloud": ("cloud", lambda w: Cloud(w.audit, default_quota=w.config.quota_default)),
+    "vault": ("vault", lambda w: Vault(w.audit, w.directory.has_principal)),
+    "onboarder": ("onboarder", lambda w: Onboarder(w.directory, w.cloud)),
+    "tokens": ("tokens", lambda w: TokenStore()),
+    "reconciler": ("reconcile", lambda w: Reconciler(
+        w.directory, w.cloud, w.vault, w.secrets, w.config, w.audit)),
+    "authz": ("authz", lambda w: AuthzEngine(w.cloud, w.vault, w.tokens, w.audit)),
+}
+_NAMES = {key: name for name, (key, _) in _STORES.items()}  # section -> store
+_HEAD = ("clock", "config", "schema_version", "secrets")  # decoded by every load
+# Every section, in the order a key-sorted dump of the document writes them.
+_KEYS = tuple(sorted([*_HEAD, "audit", *_NAMES]))
 
 
 def canonical_json(data: dict) -> str:
@@ -85,22 +91,47 @@ def write_atomic(path: str | Path, *pieces: str) -> None:
 
 
 class World:
-    """Aggregate root; all module objects share its audit log and clock."""
+    """Aggregate root; all module objects share its audit log and clock.
 
-    def __init__(self, config: ReconcileConfig, secrets: SecretSource) -> None:
+    A world loaded from a working file keeps the file's text and decodes each
+    store from it on first use, with the stores that store holds.
+    """
+
+    def __init__(self, config: ReconcileConfig, secrets: SecretSource, text: str = "",
+                 spans: dict[str, tuple[int, int]] | None = None) -> None:
         self.clock = 0
         self.config = config
         self.audit = AuditLog(lambda: self.clock)
         self.secrets = secrets
-        self.directory = Directory(self.audit)
-        self.cloud = Cloud(self.audit, default_quota=self.config.quota_default)
-        self.vault = Vault(self.audit, self.directory.has_principal)
-        self.reconciler = Reconciler(
-            self.directory, self.cloud, self.vault, self.secrets, self.config, self.audit,
-        )
-        self.tokens = TokenStore()
-        self.onboarder = Onboarder(self.directory, self.cloud)
-        self.authz = AuthzEngine(self.cloud, self.vault, self.tokens, self.audit)
+        # The file text, and where in it each store not decoded yet is.
+        self._text = text
+        self._pending = {name: spans[key] for name, (key, _) in _STORES.items()} if spans else {}
+        for name, (_, make) in _STORES.items():
+            if name not in self._pending:
+                setattr(self, name, make(self))
+
+    def __getattr__(self, name: str):
+        # Runs only for an attribute not set: a store decoded on first use.
+        span = self.__dict__.get("_pending", {}).get(name)
+        if span is None:
+            raise AttributeError(f"'World' object has no attribute {name!r}")
+        key, make = _STORES[name]
+        store = make(self)
+        with malformed(key):
+            store.load_state(parse_at(self._text, *span))
+        setattr(self, name, store)
+        del self._pending[name]
+        if not self._pending:  # the rest of the file text is no longer needed
+            self._text = ""
+            self.audit.own_lines()
+        return store
+
+    def decode(self) -> "World":
+        """Decode every section now, so that a malformed one raises here."""
+        for name in list(self._pending):
+            getattr(self, name)
+        self.audit.decoded()
+        return self
 
     @classmethod
     def new(cls, seed: int = 0, config: ReconcileConfig | None = None) -> "World":
@@ -119,27 +150,29 @@ class World:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self, reveal_secrets: bool = True, sections=_SECTIONS) -> dict:
-        data = {
-            "schema_version": SCHEMA_VERSION,
-            "clock": self.clock,
-            "config": encode(self.config),
-            "secrets": encode(self.secrets),
-        }
-        for key, attribute in sections:
-            data[key] = getattr(self, attribute).to_dict()
+    def to_dict(self, reveal_secrets: bool = True) -> dict:
+        data = self._head()
+        for name, (key, _) in _STORES.items():
+            data[key] = getattr(self, name).to_dict()
+        data["audit"] = self.audit.to_dict()
         if not reveal_secrets:
             redact(data["vault"])
         return data
+
+    def _head(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "clock": self.clock,
+                "config": encode(self.config), "secrets": encode(self.secrets)}
 
     def export_text(self, reveal_secrets: bool = False) -> str:
         return canonical_json(self.to_dict(reveal_secrets))
 
     @classmethod
-    def from_dict(cls, data) -> "World":
+    def from_dict(cls, data, text: str = "", spans: dict[str, tuple[int, int]] | None = None
+                  ) -> "World":
+        """The world ``data`` holds; with ``spans``, a world whose stores decode from ``text``."""
         if not isinstance(data, dict):
             raise SchemaError("state document must be a JSON object (at /)")
-        for key in ("schema_version", "clock", "config", "secrets", *dict(_SECTIONS)):
+        for key in _HEAD if spans else _KEYS:
             if key not in data:
                 raise SchemaError(f"missing required key (at /{key})")
         if data["schema_version"] != SCHEMA_VERSION:
@@ -153,46 +186,77 @@ class World:
                 return loader(data[section])
 
         config = load("config", lambda d: decode(ReconcileConfig, d))
-        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)))
+        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)), text, spans)
         world.clock = load("clock", lambda value: counter(value, "clock"))
-        for key, attribute in _SECTIONS:
-            load(key, getattr(world, attribute).load_state)
+        if spans:
+            world.audit.load_lines(text, *spans["audit"])
+            return world
+        for name, (key, _) in _STORES.items():
+            load(key, getattr(world, name).load_state)
+        load("audit", world.audit.load_state)
         return world
 
     # -- files ---------------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        kept, added = self.audit.array()
-        rest = compact_json(self.to_dict(sections=_SECTIONS[:-1]))  # the audit is the last one
-        write_atomic(path, _HEAD, kept, added, ",", rest[1:], "\n")
+    def save(self, path: str | Path) -> list[str]:
+        """Write the working file; return the audit lines it encoded, for the sidecar.
+
+        A store not decoded and the loaded audit lines are written back as loaded.
+        """
+        lines, head = self.audit.lines(), self._head()
+        pieces: list[str] = []
+        for key in _KEYS:
+            name = _NAMES.get(key)
+            pieces.append(f',\n"{key}":' if pieces else f'{{"{key}":')
+            if key == "audit":
+                pieces += self.audit.text(lines)
+            elif name in self._pending:
+                pieces.append(self._text[slice(*self._pending[name])])
+            else:
+                pieces.append(compact_json(getattr(self, name).to_dict() if name else head[key]))
+        write_atomic(path, *pieces, "}\n")
+        return lines
 
     @classmethod
     def load(cls, path: str | Path) -> "World":
         try:
-            data, array = _parse(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
+            spans = _spans(text)
+            data = {key: parse_at(text, *spans[key]) for key in _HEAD} if spans else json.loads(text)
         except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaError(f"state file is not valid JSON: {exc}") from exc
-        world = cls.from_dict(data)
-        if array is not None:
-            world.audit.keep_text(array)
+        if spans:
+            return cls.from_dict(data, text, spans)
+        # Another form (an export, an older working file): its stores decode now,
+        # its events, put one per line, when first read.
+        events = data.get("audit") if isinstance(data, dict) else None
+        if not isinstance(events, list):
+            return cls.from_dict(data)  # which raises the document's error
+        world = cls.from_dict({**data, "audit": []})
+        array = "[\n" + ",\n".join(map(compact_json, events)) + "]" if events else "[]"
+        world.audit.load_lines(array, 0, len(array))
         return world
 
 
-def _parse(text: str) -> tuple[object, str | None]:
-    """The document, and its audit array's text less the ``]`` if compact; else one json.loads."""
-    if text.startswith(_HEAD + "["):
-        parse, data = json.JSONDecoder().raw_decode, {}
-        try:
-            audit, end = parse(text, len(_HEAD))
-            at = end
-            while text.startswith(',"', at):  # in place: parsing a copy raised the peak RSS
-                key, colon = parse(text, at + 1)
-                if not text.startswith(":", colon):
-                    break  # ``at`` is left on the comma, which fails the check below
-                data[key], at = parse(text, colon + 1)
-            if "audit" not in data and text[at:] in ("}", "}\n"):  # a second audit would win
-                data["audit"] = audit
-                return data, text[len(_HEAD):end - 1]
-        except ValueError:
-            pass  # the whole text's error is the one reported
-    return json.loads(text), None
+def _spans(text: str) -> dict[str, tuple[int, int]] | None:
+    """Each section's (start, stop) in a working file, found without a parse; None for another text.
+
+    A working file is ``{`` + ``",\\n".join('"key":' + compact value) + ``}\\n``, each key
+    once, in order.  Compact JSON holds no raw newline, so the sections after the
+    audit are found from the end, a line each; the audit is ``[]`` or an event a line.
+    """
+    head = '{"audit":'
+    if not text.startswith(head) or not text.endswith("}\n"):
+        return None
+    spans, stop = {}, len(text) - 2
+    for key in reversed(_KEYS[1:]):
+        line = f'\n"{key}":'
+        at = text.rfind("\n", 0, stop)
+        if at < 1 or text[at - 1] != "," or not text.startswith(line, at):
+            return None
+        spans[key], stop = (at + len(line), stop), at - 1
+    empty = stop == len(head) + 2 and text.startswith("[]", len(head))
+    if not empty and not (text.startswith("[\n{", len(head)) and text[stop - 1] == "]"):
+        return None
+    spans["audit"] = (len(head), stop)
+    return spans

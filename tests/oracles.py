@@ -9,6 +9,21 @@ can disagree.
 
 from __future__ import annotations
 
+import json
+
+
+def working_text(document: dict) -> str:
+    """The working state file of ``document``: each top-level section and each audit event on its own line."""
+    def dump(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+    def section(key: str) -> str:
+        if key == "audit" and document[key]:
+            return "[\n" + ",\n".join(map(dump, document[key])) + "]"
+        return dump(document[key])
+
+    return "{" + ",\n".join(f"{dump(key)}:{section(key)}" for key in sorted(document)) + "}\n"
+
 
 def _accounts(snap: dict) -> dict[str, dict]:
     return {a["email"]: a for a in snap["cloud"]["accounts"]}

@@ -16,6 +16,8 @@ from mirrorplane.errors import SchemaError
 from mirrorplane.onboarder import cloud_reader_group
 from mirrorplane.world import World, compact_json
 
+import oracles
+
 
 @pytest.fixture
 def statefile(tmp_path, monkeypatch):
@@ -327,7 +329,7 @@ def test_the_working_file_is_the_export_in_compact_form(walked, capsys):
     exported = json.loads(capsys.readouterr().out)
     text = walked.read_text(encoding="utf-8")
     assert json.loads(text) == exported
-    assert text == compact_json(exported) + "\n"
+    assert text == oracles.working_text(exported)
 
 
 def test_an_indented_working_file_still_loads_and_the_next_write_compacts_it(
@@ -349,7 +351,7 @@ def test_an_indented_working_file_still_loads_and_the_next_write_compacts_it(
     for state in (walked, compact):
         assert main(["--state", str(state), "dir", "add-group", "after-the-upgrade"]) == 0
     text = walked.read_text(encoding="utf-8")
-    assert text == compact_json(json.loads(text)) + "\n"
+    assert text == oracles.working_text(json.loads(text))
     assert both_files(walked)[1:] == both_files(compact)[1:]
     exports = []
     for state in (walked, compact):
@@ -434,7 +436,7 @@ def holds_the_world(statefile) -> bool:
     """The state file is the world's export in compact form, and the sidecar holds its events."""
     export = World.load(statefile).export_text(reveal_secrets=True)
     text = statefile.read_text(encoding="utf-8")
-    return text == compact_json(json.loads(export)) + "\n" and sidecar_holds_the_state_events(
+    return text == oracles.working_text(json.loads(export)) and sidecar_holds_the_state_events(
         statefile)
 
 
@@ -455,7 +457,7 @@ def saves(monkeypatch) -> list[Path]:
 def test_an_empty_loaded_audit_takes_new_events_without_a_stray_comma(statefile, tmp_path):
     data = json.loads(statefile.read_text(encoding="utf-8"))
     data["audit"] = []
-    statefile.write_text(compact_json(data) + "\n", encoding="utf-8")
+    statefile.write_text(oracles.working_text(data), encoding="utf-8")
     World.load(statefile).save(tmp_path / "unchanged.json")
     assert (tmp_path / "unchanged.json").read_bytes() == statefile.read_bytes()
 
@@ -463,8 +465,8 @@ def test_an_empty_loaded_audit_takes_new_events_without_a_stray_comma(statefile,
     world.directory.add_group("the-first-event")
     world.save(statefile)
     text = statefile.read_text(encoding="utf-8")
-    assert text.startswith('{"audit":[{"action":"directory.add_group",')
-    assert text == compact_json(json.loads(text)) + "\n"
+    assert text.startswith('{"audit":[\n{"action":"directory.add_group",')
+    assert text == oracles.working_text(json.loads(text))
     assert [event.seq for event in World.load(statefile).audit] == [1]
 
 
@@ -521,14 +523,14 @@ def test_importing_a_hand_edited_compact_file_writes_its_events_in_canonical_for
     hand = json.dumps(edited, separators=(",", ":"), ensure_ascii=False)
     imported = tmp_path / "edited.json"
     imported.write_text(text.replace(compact_json(event), hand, 1), encoding="utf-8")
-    assert imported.read_text(encoding="utf-8").startswith('{"audit":[' + hand + ",")
+    assert imported.read_text(encoding="utf-8").startswith('{"audit":[\n' + hand + ",\n")
 
     other = tmp_path / "other.json"
     assert main(["--state", str(other), "state", "import", str(imported)]) == 0
     assert other.read_bytes() == walked.read_bytes()
     state = other.read_text(encoding="utf-8")
     export = World.load(other).export_text(reveal_secrets=True)
-    assert state == compact_json(json.loads(export)) + "\n"
+    assert state == oracles.working_text(json.loads(export))
     sidecar = Path(f"{other}.audit.jsonl").read_text(encoding="utf-8")
     assert sidecar == "".join(compact_json(e) + "\n" for e in json.loads(state)["audit"])
 
@@ -580,9 +582,10 @@ def test_a_truncated_compact_file_reports_the_whole_texts_json_error(walked, cut
         World.load(walked)
     assert str(info.value) == one_parse_error(text[:at])
     if cut == "after its comma":  # an offset in the whole text, not in the part after the audit
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
         assert str(info.value) == (
             "state file is not valid JSON: Expecting property name enclosed in double quotes: "
-            f"line 1 column {at + 1} (char {at})"
+            f"line {line} column {column} (char {at})"
         )
 
 
@@ -633,4 +636,66 @@ def test_a_file_the_two_part_parse_refuses_loads_as_one_parse_does(walked, tmp_p
     assert world.to_dict() == World.from_dict(json.loads(text)).to_dict()
     world.save(tmp_path / "saved.json")
     saved = (tmp_path / "saved.json").read_text(encoding="utf-8")
-    assert saved == compact_json(json.loads(text)) + "\n"
+    assert saved == oracles.working_text(json.loads(text))
+
+
+# -- one section per line: a store decodes when a command first touches it -------------
+
+
+def replace_line(statefile, prefix: str, line: str) -> None:
+    """Replace the working file's line that starts with ``prefix``."""
+    lines = statefile.read_text(encoding="utf-8").split("\n")
+    (at,) = [i for i, old in enumerate(lines) if old.startswith(prefix)]
+    lines[at] = line
+    statefile.write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_a_malformed_section_fails_only_the_commands_that_touch_it(walked, capsys):
+    replace_line(walked, '"cloud":', '"cloud":{"nodes":[oops]},')
+    before = both_files(walked)
+    capsys.readouterr()
+    assert main(["clock", "show"]) == 0
+    assert capsys.readouterr().out.startswith("t=")
+    for argv in (["cloud", "show", "org"], ["verify"]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: SchemaError: malformed section (at /cloud): ")
+    assert both_files(walked) == before
+
+
+def test_a_commit_encodes_each_new_event_once(walked, monkeypatch):
+    encoded = []
+    real = audit.compact_json
+    monkeypatch.setattr(audit, "compact_json", lambda value: encoded.append(value) or real(value))
+    assert main(["dir", "add-group", "encoded-once"]) == 0
+    assert [event["target"] for event in encoded] == ["encoded-once"]
+    assert sidecar_holds_the_state_events(walked)
+
+
+def old_compact(data: dict) -> str:
+    return compact_json(data) + "\n"
+
+
+def indented(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("form", [old_compact, indented], ids=["old compact", "indented"])
+def test_another_form_loads_whole_and_the_next_write_rewrites_it_one_section_per_line(
+        walked, tmp_path, capsys, form):
+    working = tmp_path / "working.json"
+    shutil.copy(walked, working)
+    shutil.copy(f"{walked}.audit.jsonl", f"{working}.audit.jsonl")
+    walked.write_text(form(json.loads(walked.read_text(encoding="utf-8"))), encoding="utf-8")
+    before = both_files(walked)
+    for argv in (["clock", "show"], ["audit", "tail"], ["cloud", "tree"]):
+        assert main(argv) == 0
+    assert both_files(walked) == before
+
+    for state in (walked, working):
+        assert main(["--state", str(state), "dir", "add-group", "after-the-rewrite"]) == 0
+    assert both_files(walked)[1:] == both_files(working)[1:]
+    text = walked.read_text(encoding="utf-8")
+    assert text == oracles.working_text(json.loads(text))
+    assert holds_the_world(walked)

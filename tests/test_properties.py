@@ -6,6 +6,7 @@ safety claim that every reachable state verifies clean.
 """
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -492,7 +493,62 @@ def test_every_commit_writes_the_export_in_compact_form_and_each_event_to_the_si
             (apply_more_ops if i else apply_ops)(world, stream)
             session.commit()
             text = path.read_text(encoding="utf-8")
-            assert text == compact_json(json.loads(world.export_text(True))) + "\n"
+            assert text == oracles.working_text(json.loads(world.export_text(True)))
             assert session.audit_path.read_text(encoding="utf-8") == "".join(
                 compact_json(encode(event)) + "\n" for event in world.audit
             )
+
+
+# What a command may touch on a loaded world: a store (with the stores it holds) or the log.
+TOUCHABLE = ["directory", "cloud", "vault", "onboarder", "tokens", "reconciler", "authz", "audit"]
+
+
+def touch(world: World, name: str) -> None:
+    if name == "audit":
+        world.audit.decoded()
+    else:
+        getattr(world, name)
+
+
+def audit_lines(text: str) -> list[str]:
+    """The audit events' lines of a working file, less their commas and the array's "]"."""
+    lines = text.split("\n")
+    events = lines[1:next(i for i, line in enumerate(lines) if line.startswith('"authz":'))]
+    return [line.removesuffix(",").removesuffix("]") for line in events]
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=st.lists(ops, max_size=20), touched=st.sets(st.sampled_from(TOUCHABLE)),
+       more=st.lists(ops, max_size=8), drop_sidecar=st.booleans())
+def test_a_partly_decoded_world_saves_what_a_fully_decoded_one_saves(
+        stream, touched, more, drop_sidecar):
+    with tempfile.TemporaryDirectory() as workdir:
+        loaded = Path(workdir) / "loaded.json"
+        session = Session(loaded)
+        session.replace(World.new(seed=8))
+        apply_ops(session.world, stream)
+        session.commit()
+        written = {}
+        for label, names in (("partly", touched), ("fully", TOUCHABLE)):
+            path = Path(workdir) / f"{label}.json"
+            shutil.copy(loaded, path)
+            if not drop_sidecar:  # else the commit writes every event, the loaded ones too
+                shutil.copy(session.audit_path, f"{path}.audit.jsonl")
+            commit = Session(path)
+            world = commit.world
+            for name in names:
+                touch(world, name)
+            if more:
+                apply_more_ops(world, more)
+            world.advance(1)  # a change, so the commit saves
+            commit.commit()
+            text = path.read_text(encoding="utf-8")
+            document = json.loads(text)
+            assert document == json.loads(world.export_text(True))
+            sections = [line for line in text.split("\n")[:-1] if not line.startswith('{"action":')]
+            assert [line.lstrip("{").split(":", 1)[0] for line in sections] == [
+                json.dumps(key) for key in sorted(document)]
+            sidecar = commit.audit_path.read_text(encoding="utf-8")
+            assert sidecar.splitlines() == audit_lines(text)
+            written[label] = text, sidecar
+        assert written["partly"] == written["fully"]
