@@ -1,4 +1,4 @@
-"""Time the state file's load and save and four CLI commands on the operator-cli world.
+"""Time the state file's load and save and six CLI commands on the operator-cli world.
 
 Builds the benchmark's operator-cli world at 1k, 4k and 16k principals (or at
 the ``--sizes`` given) through ``bench/workloads.operator_cli_setup`` (buckets
@@ -8,11 +8,12 @@ generator's model fails the run.  Then, in each of several rounds, it times on
 every size, once each: ``World.load`` of the state file, ``World.save`` of the
 world just loaded to a second file, which must hold the state file's bytes,
 and the in-process CLI commands ``clock show``, ``clock advance 1m``,
-``reconcile --once`` (a no-op tick) and ``dir add-user`` of a new headless
-user on the state file, each of which must exit 0; the user must then be in
-the directory loaded back.  The three writes change the state file, so each
-round starts one minute, one tick and one user later.  The flags, rounds and
-output file are ``scripts/timing.py``'s.
+``reconcile --once`` (a no-op tick), ``report last``, ``dir add-user`` of a new
+headless user and ``readers join`` of that user to the first bucket's reader
+group on the state file, each of which must exit 0; the user must then be in
+the directory and that group loaded back.  The four writes change the state
+file, so each round starts one minute, one tick and one user later.  The
+flags, rounds and output file are ``scripts/timing.py``'s.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ COMMANDS = {
     "clock_show_s": ["clock", "show"],
     "clock_advance_s": ["clock", "advance", "1m"],
     "reconcile_once_s": ["reconcile", "--once"],
+    "report_last_s": ["report", "last"],
 }
 USERS = (f"timed-user-{n}" for n in itertools.count(1))
 
 
-def build(principals: int) -> tuple[tempfile.TemporaryDirectory, Path, dict]:
+def build(principals: int) -> tuple[tempfile.TemporaryDirectory, Path, dict, str]:
     from mirrorplane.world import World
     from workloads import Run, Scale, operator_cli_setup
 
@@ -42,16 +44,19 @@ def build(principals: int) -> tuple[tempfile.TemporaryDirectory, Path, dict]:
     _, build_s = timing.timed(lambda: operator_cli_setup(1, scale, run, state))
     if run.failed:
         raise SystemExit(f"world build at {principals} disagrees with the model: {run.mismatches}")
-    info = {"build_s": round(build_s, 2), "events": len(World.load(state).audit),
+    world = World.load(state)
+    info = {"build_s": round(build_s, 2), "events": len(world.audit),
             "state_bytes": state.stat().st_size}
-    return workdir, state, info
+    return workdir, state, info, world.onboarder.pairs()[0].bucket_id
 
 
-def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict]) -> tuple[dict[str, float], dict]:
+def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict, str]
+            ) -> tuple[dict[str, float], dict]:
+    from mirrorplane.onboarder import ldap_reader_group
     from mirrorplane.world import World
     from workloads import run_cli
 
-    _, state, info = built
+    _, state, info, bucket = built
     world, load_s = timing.timed(lambda: World.load(state))
     saved = state.with_name("saved.json")
     _, save_s = timing.timed(lambda: world.save(saved))
@@ -59,13 +64,15 @@ def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict]) -> tuple[dict
         raise SystemExit(f"World.save of the world loaded from {state} changed its bytes")
     times = {"load_s": load_s, "save_s": save_s}
     user = next(USERS)
-    add_user = ["dir", "add-user", user, "--kind", "headless"]
-    for name, argv in {**COMMANDS, "dir_add_user_s": add_user}.items():
+    writes = {"dir_add_user_s": ["dir", "add-user", user, "--kind", "headless"],
+              "readers_join_s": ["readers", "join", bucket, user]}
+    for name, argv in {**COMMANDS, **writes}.items():
         (code, out), times[name] = timing.timed(lambda: run_cli(state, argv))
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited {code}: {out}")
-    if not World.load(state).directory.has_principal(user):
-        raise SystemExit(f"dir add-user {user} exited 0, but {state} does not hold the user")
+    directory = World.load(state).directory
+    if user not in directory.group(ldap_reader_group(bucket)).members:
+        raise SystemExit(f"readers join {bucket} {user} exited 0, but {state} does not hold it")
     return times, info
 
 
@@ -76,6 +83,6 @@ if __name__ == "__main__":
         method=("rounds over the worlds operator_cli_setup writes at seed 1 with their sidecars; "
                 "each round times, on every size and once each with gc.collect() before each, "
                 "World.load, World.save of the loaded world to another file, and the in-process "
-                "CLI commands clock show, clock advance 1m, reconcile --once and dir add-user of a "
-                "new headless user on the state file"),
+                "CLI commands clock show, clock advance 1m, reconcile --once, report last, dir "
+                "add-user of a new headless user and readers join of that user on the state file"),
     )

@@ -88,6 +88,7 @@ class AuditLog:
         self._offset = 0
         # The loaded array is _text[_start:_stop]; a log built in memory has "[]".
         self._text, self._start, self._stop, self._covered = "[]", 0, 2, 0
+        self._unchecked = False  # loaded lines whose last event's seq is not checked yet
         self._tick_id: int | None = None
         self._job_id: str | None = None
 
@@ -103,6 +104,8 @@ class AuditLog:
 
     def emit(self, actor: str, action: str, target: str, outcome: Outcome,
              category: Category) -> AuditEvent:
+        if self._unchecked:
+            self._check_last_seq()
         event = AuditEvent(
             seq=self._offset + len(self._events) + 1,
             at=self.now(),
@@ -220,6 +223,7 @@ class AuditLog:
         self._text, self._start, self._stop = text, start, stop
         self._events, self._offset = [], text.count("\n", start, stop)
         self._covered = self._offset
+        self._unchecked = bool(self._offset)
 
     def own_lines(self) -> None:
         """Keep a copy of the loaded array alone, so the rest of the file text can be freed."""
@@ -245,6 +249,17 @@ class AuditLog:
             yield old.replace(",\n", "\n") + "\n"
         for line in (self.lines() if lines is None else lines)[max(written - self._covered, 0):]:
             yield line + "\n"
+
+    def _check_last_seq(self) -> None:
+        """Refuse to number an event after loaded lines whose last event is not ``#len(self)``.
+
+        A line split in two, or one missing, would make the new event repeat or skip a seq.
+        """
+        with malformed("audit"):
+            last = self._loaded(1)[0]["seq"] if self._offset else self._events[-1].seq
+            if last != len(self):
+                raise ValueError(f"{len(self)} lines end with event #{last}")
+        self._unchecked = False
 
     def _line(self, count: int) -> int:
         """Where the last ``count`` loaded lines start."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .audit import AuditLog
 from .cloud import (
@@ -21,7 +22,7 @@ from .cloud import (
     sa_principal,
     workspace_principal,
 )
-from .codec import counter, decode, encode
+from .codec import Holder, counter, decode, encode
 from .errors import (
     AuthFailure,
     DuplicateId,
@@ -32,6 +33,9 @@ from .errors import (
     UnknownNode,
 )
 from .vault import KeyState, Vault
+
+if TYPE_CHECKING:
+    from .world import World
 
 WORKSPACE_PREFIX = "workspace:"
 
@@ -136,18 +140,15 @@ class JobResult:
         return "\n".join(lines)
 
 
-class AuthzEngine:
-    def __init__(
-        self,
-        cloud: Cloud,
-        vault: Vault,
-        tokens: TokenStore,
-        audit: AuditLog,
-    ) -> None:
-        self.cloud = cloud
-        self.vault = vault
-        self.tokens = tokens
-        self._audit = audit
+class AuthzEngine(Holder):
+    HOLDS = ("cloud", "vault", "tokens")
+    cloud: Cloud
+    vault: Vault
+    tokens: TokenStore
+
+    def __init__(self, world: World) -> None:
+        super().__init__(world)
+        self._audit: AuditLog = world.audit
         self._next_job = 1
 
     # -- authentication --------------------------------------------------
@@ -158,6 +159,7 @@ class AuthzEngine:
         The vault's owner gate does the heavy lifting: any non-owner caller is
         denied there, which is the impersonation threat path.
         """
+        self.take_stores()
         with self._audit.attempt(caller, "authn.token", account_email):
             try:
                 key = self.vault.read_key(account_email, caller)
@@ -173,6 +175,7 @@ class AuthzEngine:
         Humans only ever hold ActAs on their own mirror, so every
         human-to-headless attempt lands in PermissionDenied here.
         """
+        self.take_stores()
         identity = workspace_identity.removeprefix(WORKSPACE_PREFIX)
         principal = workspace_principal(identity)
         with self._audit.attempt(principal, "authn.impersonate", account_email):
@@ -221,6 +224,7 @@ class AuthzEngine:
         Group membership is evaluated now, not at mint time, so a sync that
         just ran is immediately visible.
         """
+        self.take_stores()
         try:
             bucket = self.cloud.node(Cloud.strip_scheme(bucket_id))
         except UnknownNode:
@@ -279,6 +283,7 @@ class AuthzEngine:
         failures propagate before any authorization runs; per-path failures
         (unknown buckets, denials) are recorded and do not stop the rest.
         """
+        self.take_stores()
         if not bucket_paths or len(bucket_paths) != len(actions):
             raise InvalidJobSpec("job needs equal, nonempty path and action lists")
         job_id = f"job-{self._next_job:04d}"

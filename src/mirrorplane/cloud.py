@@ -138,6 +138,9 @@ class Cloud:
         self._quotas: dict[str, ProjectQuota] = {}
         # Derived from _accounts, never serialized: source -> its Active emails.
         self._active: dict[str, set[str]] = {}
+        # Derived from _nodes, never serialized: parent id -> its children's
+        # ids, which ``children`` sorts.  Nodes are never deleted or re-parented.
+        self._children: dict[str | None, list[str]] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -167,7 +170,7 @@ class Cloud:
 
     def children(self, node_id: str) -> list[ResourceNode]:
         return sorted(
-            (n for n in self._nodes.values() if n.parent == node_id),
+            (self._nodes[i] for i in self._children.get(node_id, ())),
             key=lambda n: (n.kind.value, n.id),
         )
 
@@ -241,6 +244,7 @@ class Cloud:
             raise DuplicateId(f"node id {node_id!r} already exists")
         node = ResourceNode(id=node_id, kind=kind, parent=parent)
         self._nodes[node_id] = node
+        self._children.setdefault(parent, []).append(node_id)
         if kind is NodeKind.PROJECT:
             self._quotas[node_id] = ProjectQuota(
                 project=node_id, max_service_accounts=self.default_quota
@@ -282,6 +286,7 @@ class Cloud:
             self._nodes[email] = ResourceNode(
                 id=email, kind=NodeKind.SERVICE_ACCOUNT, parent=project
             )
+            self._children.setdefault(project, []).append(email)
         else:
             # Fresh identity on a recycled email: revoke any leftover bindings.
             for binding in list(self.node(email).bindings):
@@ -380,6 +385,9 @@ class Cloud:
         default = data.get("default_quota", DEFAULT_QUOTA)
         self.default_quota = counter(default, "default_quota", least=1)
         self._nodes = {n.id: n for n in decode(list[ResourceNode], data["nodes"])}
+        self._children = {}
+        for node in self._nodes.values():
+            self._children.setdefault(node.parent, []).append(node.id)
         self._accounts = {a.email: a for a in decode(list[MirrorAccount], data["accounts"])}
         self._active = {}
         for acct in self._accounts.values():

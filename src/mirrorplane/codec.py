@@ -62,6 +62,34 @@ def parse_at(text: str, start: int, stop: int):
     return value
 
 
+class Holder:
+    """A store that holds the stores of its world named in ``HOLDS``, as plain attributes.
+
+    A loaded world decodes a store on first use, so a holder takes a held store
+    when it is made only if the world has decoded it (a world built in memory
+    has them all).  Every call that may change the world takes them all before
+    its first change, so a malformed one fails before anything changed.  A lazy
+    class attribute (a descriptor, ``__getattr__``) would slow every read on 3.11.
+    """
+
+    HOLDS: tuple[str, ...] = ()
+
+    def __init__(self, world) -> None:
+        self._world = world
+        self._taken = False  # every held store taken
+        self.take_stores(decode=False)
+
+    def take_stores(self, decode: bool = True) -> None:
+        """Take each held store from the world; with ``decode``, decode those not decoded yet."""
+        if self._taken:
+            return
+        decoded = vars(self._world)
+        for name in self.HOLDS:
+            if decode or name in decoded:
+                setattr(self, name, getattr(self._world, name))
+        self._taken = all(name in decoded for name in self.HOLDS)
+
+
 def encode(value):
     return (_ENCODERS.get(type(value)) or encoder(type(value)))(value)
 

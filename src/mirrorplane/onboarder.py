@@ -9,11 +9,15 @@ image of the on-premise group under the mirror mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .cloud import Cloud, NodeKind, Role, group_principal, sa_principal
-from .codec import decode, encode
+from .codec import Holder, decode, encode
 from .directory import Directory
 from .errors import NoHdfsHome, NoMirror, UnmappablePath
+
+if TYPE_CHECKING:
+    from .world import World
 
 DATASTORE_FOLDER = "DATASTORE"
 SHARED_STORAGE_PROJECT = "shared-gcs-storage-project"
@@ -90,10 +94,13 @@ class SyncReport:
         return "\n".join(lines)
 
 
-class Onboarder:
-    def __init__(self, directory: Directory, cloud: Cloud) -> None:
-        self.directory = directory
-        self.cloud = cloud
+class Onboarder(Holder):
+    HOLDS = ("directory", "cloud")
+    directory: Directory
+    cloud: Cloud
+
+    def __init__(self, world: World) -> None:
+        super().__init__(world)
         self._mappings: dict[str, BucketMapping] = {}  # principal -> mapping
         self._pairs: dict[str, ReaderGroupPair] = {}  # bucket_id -> pair
 
@@ -116,6 +123,7 @@ class Onboarder:
         Idempotent: a principal that is already provisioned gets its existing
         mapping back with no state change.
         """
+        self.take_stores()
         existing = self._mappings.get(principal)
         if existing is not None:
             return existing
@@ -157,6 +165,7 @@ class Onboarder:
         Members without an active mirror are skipped and reported; on-premise
         removals propagate as cloud removals.
         """
+        self.take_stores()
         report = SyncReport()
         for bucket_id in sorted(self._pairs):
             pair = self._pairs[bucket_id]

@@ -14,11 +14,11 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .audit import AuditLog
 from .cloud import AccountStatus, Cloud, Role, mirror_email, workspace_principal
-from .codec import counter, decode, encode
+from .codec import Holder, counter, decode, encode
 from .directory import PRINCIPAL_NAME_RE, SOURCE_OF_TRUTH_GROUP, Directory, PrincipalRecord
 from .durations import DAY, MINUTE, format_duration, parse_duration
 from .errors import (
@@ -30,6 +30,9 @@ from .errors import (
     UnderscoreNotSupported,
 )
 from .vault import SecretSource, Vault
+
+if TYPE_CHECKING:
+    from .world import World
 
 IAM_FOLDER = "IAMSTORE"
 DEFAULT_BASE_PROJECT = "service-accounts-project"
@@ -159,22 +162,17 @@ def derive_mirror_name(principal: str, target_project: str) -> str:
     return mirror_email(f"{principal}-mirror", target_project)
 
 
-class Reconciler:
-    def __init__(
-        self,
-        directory: Directory,
-        cloud: Cloud,
-        vault: Vault,
-        secrets: SecretSource,
-        config: ReconcileConfig,
-        audit: AuditLog,
-    ) -> None:
-        self.directory = directory
-        self.cloud = cloud
-        self.vault = vault
-        self.secrets = secrets
-        self.config = config
-        self._audit = audit
+class Reconciler(Holder):
+    HOLDS = ("directory", "cloud", "vault")
+    directory: Directory
+    cloud: Cloud
+    vault: Vault
+
+    def __init__(self, world: World) -> None:
+        super().__init__(world)
+        self.secrets: SecretSource = world.secrets
+        self.config: ReconcileConfig = world.config
+        self._audit: AuditLog = world.audit
         self.tick_count = 0
         self.ticks_run = 0  # by this object, since it was made or loaded
         self.last_report: ReconcileReport | None = None
@@ -214,6 +212,7 @@ class Reconciler:
 
     def decommission(self, principal: str) -> None:
         """Disable the principal's mirror, kill its keys, strip ActAs grants."""
+        self.take_stores()
         email = self.cloud.active_mirror_for(principal)
         if email is None:
             raise NoMirror(f"{principal!r} has no active mirror account")
@@ -227,6 +226,7 @@ class Reconciler:
     # -- the tick --------------------------------------------------------------
 
     def reconcile_tick(self) -> ReconcileReport:
+        self.take_stores()
         report = ReconcileReport(tick_id=self.tick_count + 1, at=self._audit.now())
         self._cursor = {}
         with self._audit.scope(tick_id=report.tick_id):

@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from .audit import AuditLog
-from .codec import counter, decode, encode
+from .codec import Holder, counter, decode, encode
+from .directory import Directory
 from .errors import (
     DuplicateId,
     NoActiveKey,
@@ -25,6 +26,9 @@ from .errors import (
     UnknownEntry,
     UnknownOwner,
 )
+
+if TYPE_CHECKING:
+    from .world import World
 
 REDACTED = "[redacted]"
 SECRET_HEX_CHARS = 32  # 128 bits
@@ -96,12 +100,18 @@ class VaultEntry:
         return None
 
 
-class Vault:
-    """Secret store with owner-only read and control-plane-only write."""
+class Vault(Holder):
+    """Secret store with owner-only read and control-plane-only write.
 
-    def __init__(self, audit: AuditLog, owner_exists: Callable[[str], bool]) -> None:
-        self._audit = audit
-        self._owner_exists = owner_exists
+    It holds the directory only to check the owner of a key it stores.
+    """
+
+    HOLDS = ("directory",)
+    directory: Directory
+
+    def __init__(self, world: World) -> None:
+        super().__init__(world)
+        self._audit: AuditLog = world.audit
         self._entries: dict[str, VaultEntry] = {}
 
     # -- queries ----------------------------------------------------------
@@ -139,7 +149,8 @@ class Vault:
 
         Only the reconciler calls this; there is no user-facing write path.
         """
-        if not self._owner_exists(owner):
+        self.take_stores()
+        if not self.directory.has_principal(owner):
             raise UnknownOwner(f"no principal named {owner!r}")
         now = self._audit.now()
         entry = self._entries.get(account_email)

@@ -30,16 +30,18 @@ SCHEMA_VERSION = 1
 ORGANIZATION_ID = "org"
 
 # Each store: World attribute -> (its section of the state document, how a
-# world makes it empty).  A store comes after the stores it holds.
+# world makes it empty).  A store that holds others takes the world, and
+# takes each of them from it only when it may need it (``codec.Holder``), so
+# decoding it decodes no other store.  A store comes after the stores it holds,
+# so that in a world built in memory a holder takes them when it is made.
 _STORES = {
     "directory": ("directory", lambda w: Directory(w.audit)),
     "cloud": ("cloud", lambda w: Cloud(w.audit, default_quota=w.config.quota_default)),
-    "vault": ("vault", lambda w: Vault(w.audit, w.directory.has_principal)),
-    "onboarder": ("onboarder", lambda w: Onboarder(w.directory, w.cloud)),
+    "vault": ("vault", Vault),
+    "onboarder": ("onboarder", Onboarder),
     "tokens": ("tokens", lambda w: TokenStore()),
-    "reconciler": ("reconcile", lambda w: Reconciler(
-        w.directory, w.cloud, w.vault, w.secrets, w.config, w.audit)),
-    "authz": ("authz", lambda w: AuthzEngine(w.cloud, w.vault, w.tokens, w.audit)),
+    "reconciler": ("reconcile", Reconciler),
+    "authz": ("authz", AuthzEngine),
 }
 _NAMES = {key: name for name, (key, _) in _STORES.items()}  # section -> store
 _HEAD = ("clock", "config", "schema_version", "secrets")  # decoded by every load
@@ -94,7 +96,8 @@ class World:
     """Aggregate root; all module objects share its audit log and clock.
 
     A world loaded from a working file keeps the file's text and decodes each
-    store from it on first use, with the stores that store holds.
+    store from it on first use, alone: the stores a store holds are decoded
+    only when it takes them (``codec.Holder``).
     """
 
     def __init__(self, config: ReconcileConfig, secrets: SecretSource, text: str = "",

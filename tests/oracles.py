@@ -155,3 +155,9 @@ def expect_member(snap: dict, group: str, principal: str) -> bool:
         if record["name"] == group:
             return principal in record["members"]
     return False
+
+
+def expect_children(snap: dict, node_id: str) -> list[str]:
+    """The ids of the nodes whose parent is ``node_id``, by a scan, ordered by (kind, id)."""
+    nodes = sorted(snap["cloud"]["nodes"], key=lambda node: (node["kind"], node["id"]))
+    return [node["id"] for node in nodes if node["parent"] == node_id]

@@ -223,3 +223,16 @@ def test_rendered_tree_of_a_sharded_world():
         f"    project: {finance}-2 [1/1 accounts]",
         f"      service-account: {mirror('ana', finance + '-2')} (active)",
     ]
+
+
+def test_a_hand_imported_node_under_a_missing_parent_is_a_child_of_that_id(tmp_path):
+    data = World.new(seed=7).to_dict()
+    data["cloud"]["nodes"].append(
+        {"id": "stray", "kind": "project", "parent": "no-such-folder", "bindings": []})
+    imported = World.from_dict(data)
+    imported.save(tmp_path / "world.json")
+    for world in (imported, World.load(tmp_path / "world.json")):
+        assert [node.id for node in world.cloud.children("no-such-folder")] == ["stray"]
+        assert world.cloud.children("stray") == []
+        assert [node.id for node in world.cloud.children("org")] == []
+        assert world.cloud.render_tree() == "organization: org"

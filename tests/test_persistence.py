@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from mirrorplane import audit
-from mirrorplane.cli import Session, main
+from mirrorplane import AccessAction, audit
+from mirrorplane.cli import Session, dispatch, main
 from mirrorplane.codec import encode
 from mirrorplane.errors import SchemaError
 from mirrorplane.onboarder import cloud_reader_group
-from mirrorplane.world import World, compact_json
+from mirrorplane.world import _STORES, World, compact_json
 
 import oracles
+from conftest import mirror
 
 
 @pytest.fixture
@@ -662,6 +663,127 @@ def test_a_malformed_section_fails_only_the_commands_that_touch_it(walked, capsy
         assert out.out == ""
         assert out.err.startswith("error: SchemaError: malformed section (at /cloud): ")
     assert both_files(walked) == before
+
+
+POSTS_MIRROR = mirror("posts-analyze")
+POSTS_BUCKET = "user.posts-analyze.dp.domain"
+
+
+def test_a_store_that_holds_a_malformed_one_fails_before_it_changes_anything(walked, capsys):
+    replace_line(walked, '"cloud":', '"cloud":{"nodes":[oops]},')
+    before = both_files(walked)
+    capsys.readouterr()
+    for argv in (["reconcile", "--once"], ["onboard", "sync-readers"],
+                 ["authz", "token", "--as", "posts-analyze", POSTS_MIRROR],
+                 ["authz", "check", "tok-000001", POSTS_BUCKET, "read"],
+                 ["authz", "job", "--as", "posts-analyze", POSTS_MIRROR,
+                  "--access", f"{POSTS_BUCKET}:read"]):
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: SchemaError: malformed section (at /cloud): "), argv
+    assert both_files(walked) == before
+    # The commands that hold no cloud still run; a write carries the cloud line forward.
+    assert main(["report", "last"]) == 0
+    assert capsys.readouterr().out.startswith("tick 1 at t=0\n")
+    assert main(["readers", "join", POSTS_BUCKET, "posts-analyze"]) == 0
+    assert capsys.readouterr().out == f"reader-{POSTS_BUCKET}: helen, posts-analyze\n"
+    assert '\n"cloud":{"nodes":[oops]},\n' in walked.read_text(encoding="utf-8")
+
+
+def test_the_calls_that_take_their_stores_first_change_nothing_before_a_malformed_one(walked):
+    replace_line(walked, '"cloud":', '"cloud":{"nodes":[oops]},')
+    world = World.load(walked)
+    before = world.authz.to_dict(), world.reconciler.to_dict(), len(world.audit)
+    with pytest.raises(SchemaError, match=r"\(at /cloud\)"):
+        world.authz.submit_job("posts-analyze", POSTS_MIRROR, [POSTS_BUCKET], [AccessAction.READ])
+    with pytest.raises(SchemaError, match=r"\(at /cloud\)"):
+        world.reconciler.decommission("helen")
+    assert (world.authz.to_dict(), world.reconciler.to_dict(), len(world.audit)) == before
+
+
+def split_event_line(statefile, index: int) -> None:
+    """Break the working file's ``index``-th line, an audit event, after its first comma."""
+    lines = statefile.read_text(encoding="utf-8").split("\n")
+    head, rest = lines[index].split(",", 1)
+    lines[index:index + 1] = [head + ",", rest]
+    statefile.write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_a_write_after_a_split_audit_line_is_refused(walked, capsys):
+    events = len(World.load(walked).audit)
+    split_event_line(walked, 2)
+    assert len(World.load(walked).audit) == events + 1  # still loads as a working file
+    before = both_files(walked)
+    capsys.readouterr()
+    assert main(["dir", "add-group", "g3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: malformed section (at /audit): "
+        f"{events + 1} lines end with event #{events}\n")
+    assert both_files(walked) == before
+
+
+def test_a_write_on_a_gapped_audit_is_refused_and_verify_reports_the_gap(walked, capsys):
+    lines = walked.read_text(encoding="utf-8").split("\n")
+    del lines[2]  # the second event
+    walked.write_text("\n".join(lines), encoding="utf-8")
+    events = len(World.load(walked).audit)
+    before = both_files(walked)
+    capsys.readouterr()
+    assert main(["verify"]) == 2
+    assert "AuditGapViolation" in capsys.readouterr().out
+    assert main(["dir", "add-group", "g3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: malformed section (at /audit): "
+        f"{events} lines end with event #{events + 1}\n")
+    assert both_files(walked) == before
+
+
+@pytest.fixture(scope="module")
+def walked_once(tmp_path_factory):
+    state = tmp_path_factory.mktemp("walked") / "world.json"
+    for argv in (["init", "--seed", "42"], ["scenario", "run", str(WALKTHROUGH), "--strict"]):
+        assert main(["--state", str(state), *argv]) == 0
+    return state
+
+
+HOLDERS = {"authz", "cloud", "vault", "tokens"}
+EVERY_STORE = set(_STORES)
+
+
+@pytest.mark.parametrize(("argv", "stores"), [
+    (["clock", "show"], set()),
+    (["clock", "advance", "1m"], set()),
+    (["audit", "tail", "-n", "3"], set()),
+    (["audit", "query", "--action", "authorize"], set()),
+    (["dir", "show"], {"directory"}),
+    (["dir", "add-group", "g3"], {"directory"}),
+    (["cloud", "tree"], {"cloud"}),
+    (["cloud", "show", POSTS_MIRROR], {"cloud"}),
+    (["vault", "ls"], {"vault"}),
+    (["vault", "read", "--as", "posts-analyze", POSTS_MIRROR], {"vault"}),
+    (["report", "last"], {"reconciler"}),
+    (["readers", "join", POSTS_BUCKET, "posts-analyze"], {"onboarder", "directory"}),
+    (["readers", "leave", POSTS_BUCKET, "helen"], {"onboarder", "directory"}),
+    (["onboard", "bucket", "posts-analyze"], {"onboarder", "directory", "cloud"}),
+    (["onboard", "sync-readers"], {"onboarder", "directory", "cloud"}),
+    (["authz", "token", "--as", "posts-analyze", POSTS_MIRROR], HOLDERS),
+    (["authz", "token", "--as", "workspace:helen", mirror("helen")], HOLDERS),
+    (["authz", "check", "tok-000001", POSTS_BUCKET, "read"], HOLDERS),
+    (["authz", "job", "--as", "posts-analyze", POSTS_MIRROR, "--access", f"{POSTS_BUCKET}:read"],
+     HOLDERS),
+    (["reconcile", "--once"], {"reconciler", "directory", "cloud", "vault"}),
+    (["verify"], EVERY_STORE),
+    (["state", "export"], EVERY_STORE),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_each_command_decodes_only_the_stores_it_uses(walked_once, tmp_path, argv, stores):
+    state = tmp_path / "world.json"
+    shutil.copy(walked_once, state)
+    shutil.copy(f"{walked_once}.audit.jsonl", f"{state}.audit.jsonl")
+    session = Session(state)
+    out, error = dispatch(session, argv)
+    assert error is None, out
+    assert {name for name in _STORES if name in vars(session.world)} == stores
 
 
 def test_a_commit_encodes_each_new_event_once(walked, monkeypatch):

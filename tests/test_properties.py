@@ -372,6 +372,25 @@ def test_active_mirror_lookup_matches_sorted_scan(stream):
                     oracles.expect_active_mirror(snap, src), (op, src)
 
 
+def children_match_a_scan(world: World) -> None:
+    snap = {"cloud": world.cloud.to_dict()}
+    for node_id in [*(node["id"] for node in snap["cloud"]["nodes"]), "no-such-node"]:
+        got = [node.id for node in world.cloud.children(node_id)]
+        assert got == oracles.expect_children(snap, node_id), node_id
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=st.lists(ops, max_size=25))
+@example(stream=[("add", "ann", False), ("join", "ann", False), ("tick", "ann", False),
+                 ("bucket", "ann", False), ("add", "bob", True), ("join", "bob", True),
+                 ("tick", "bob", True)])
+def test_the_child_index_matches_a_scan_after_every_step_and_a_reload(stream):
+    world = World.new(seed=5)
+    apply_ops(world, stream, after_each=lambda op: children_match_a_scan(world))
+    with tempfile.TemporaryDirectory() as workdir:
+        children_match_a_scan(reload(world, workdir))
+
+
 GROUPS = ["g-one", "g-two"]
 
 # One step on group membership: (op, group index, principal index).
