@@ -80,6 +80,10 @@ class AuditLog:
     emitted since the load, after the ``_offset`` undecoded ones.  A save
     writes the ``_covered`` loaded lines back as they are and encodes only the
     events after them.
+
+    ``mutated`` names each store a mutation was emitted for ("directory",
+    "cloud" or "vault", the action's prefix), so that a save writes a store
+    with none back as it was loaded.
     """
 
     def __init__(self, now: Callable[[], int]) -> None:
@@ -89,6 +93,7 @@ class AuditLog:
         # The loaded array is _text[_start:_stop]; a log built in memory has "[]".
         self._text, self._start, self._stop, self._covered = "[]", 0, 2, 0
         self._unchecked = False  # loaded lines whose last event's seq is not checked yet
+        self.mutated: set[str] = set()
         self._tick_id: int | None = None
         self._job_id: str | None = None
 
@@ -122,6 +127,7 @@ class AuditLog:
 
     def mutation(self, action: str, target: str) -> AuditEvent:
         """A successful control-plane change to directory, cloud or vault state."""
+        self.mutated.add(action.partition(".")[0])
         return self.emit(CONTROL_PLANE, action, target, Outcome.SUCCESS, Category.MUTATION)
 
     def decision(self, actor: str, action: str, target: str, allowed: bool) -> AuditEvent:
@@ -224,10 +230,6 @@ class AuditLog:
         self._events, self._offset = [], text.count("\n", start, stop)
         self._covered = self._offset
         self._unchecked = bool(self._offset)
-
-    def own_lines(self) -> None:
-        """Keep a copy of the loaded array alone, so the rest of the file text can be freed."""
-        self._text, self._start, self._stop = self._text[self._start:self._stop], 0, self._stop - self._start
 
     # -- the working file and its sidecar ------------------------------------
 

@@ -32,6 +32,17 @@ from .world import World, canonical_json, write_atomic
 _owner_only = functools.partial(os.open, mode=0o600)
 
 
+def echo(text: str, nl: bool = True, err: bool = False) -> None:
+    """``click.echo`` to the current stdout, or stderr, found as ``click.echo`` finds it.
+
+    Left to find the stream, click caches what it found in a weak dictionary
+    whose value is the stream itself, so a replaced ``sys.stdout`` (each
+    command's buffer in ``dispatch``, an in-process caller's) is never freed.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(text, nl=nl, file=stream)
+
+
 class VerificationFailed(ControlPlaneError):
     """Raised by ``verify`` when violations exist; maps to exit code 2."""
 
@@ -137,7 +148,7 @@ def on_world(command):
         finally:
             session.commit()
             if text:
-                click.echo(text, nl=not text.endswith("\n"))
+                echo(text, nl=not text.endswith("\n"))
 
     return click.pass_obj(run)
 
@@ -194,7 +205,7 @@ def init(session: Session, seed: int, config_file: str | None, force: bool,
     )
     session.replace(World.new(seed=seed, config=config))
     session.commit()
-    click.echo(f"initialized world (seed={seed}, {config.describe()})")
+    echo(f"initialized world (seed={seed}, {config.describe()})")
 
 
 # -- directory ----------------------------------------------------------------
@@ -567,7 +578,7 @@ def state_import(session: Session, path: str) -> None:
     world = World.from_dict(World.load(path).to_dict())
     session.replace(world)
     session.commit()
-    click.echo(f"imported {path}")
+    echo(f"imported {path}")
 
 
 # -- scenarios -----------------------------------------------------------------------
@@ -591,7 +602,7 @@ def scenario_run(session: Session, script: str, strict: bool,
         raise ParseError(f"script is not UTF-8 text: {exc}") from exc
     entries = run_script(text, lambda argv: dispatch(session, argv), strict=strict)
     for entry in entries:
-        click.echo(entry.render())
+        echo(entry.render())
     if transcript_out is not None:
         write_atomic(transcript_out, canonical_json(encode({"entries": entries})))
     failed = [e for e in entries if e.status == "error"]
@@ -632,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailed:
         return 2
     except ControlPlaneError as exc:
-        click.echo(f"error: {exc.name}: {exc}", err=True)
+        echo(f"error: {exc.name}: {exc}", err=True)
         return 1
     except click.ClickException as exc:
         exc.show()

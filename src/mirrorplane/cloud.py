@@ -350,8 +350,11 @@ class Cloud:
         if org is None:
             return "(no organization)"
         lines: list[str] = []
-
-        def walk(node: ResourceNode, depth: int) -> None:
+        # Depth first with a stack: a recursive closure would be a reference cycle
+        # holding this cloud until the cyclic collector ran.
+        stack = [(org, 0)]
+        while stack:
+            node, depth = stack.pop()
             label = node.id
             if node.kind is NodeKind.BUCKET:
                 label = BUCKET_SCHEME + node.id
@@ -364,13 +367,10 @@ class Cloud:
                 if acct is not None:
                     suffix = f" ({acct.status.value})"
             lines.append(f"{'  ' * depth}{node.kind.value}: {label}{suffix}")
-            for child in self.children(node.id):
-                # Each other node has one parent, so only an organization
-                # parented inside its own tree could be reached twice.
-                if child is not org:
-                    walk(child, depth + 1)
-
-        walk(org, 0)
+            # Each other node has one parent, so only an organization parented
+            # inside its own tree could be reached twice.
+            stack += [(child, depth + 1) for child in reversed(self.children(node.id))
+                      if child is not org]
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

@@ -26,6 +26,7 @@ import dataclasses
 import json
 import types
 import typing
+import weakref
 from enum import Enum
 from typing import Any, Callable
 
@@ -70,12 +71,14 @@ class Holder:
     has them all).  Every call that may change the world takes them all before
     its first change, so a malformed one fails before anything changed.  A lazy
     class attribute (a descriptor, ``__getattr__``) would slow every read on 3.11.
+    The world is held weakly, so that it is in no reference cycle; a holder
+    that takes a store after its world is gone raises ``ReferenceError``.
     """
 
     HOLDS: tuple[str, ...] = ()
 
     def __init__(self, world) -> None:
-        self._world = world
+        self._world = weakref.proxy(world)
         self._taken = False  # every held store taken
         self.take_stores(decode=False)
 

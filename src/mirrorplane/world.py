@@ -14,6 +14,7 @@ import json
 import os
 import stat
 import tempfile
+import weakref
 from pathlib import Path
 
 from .audit import AuditLog
@@ -44,20 +45,28 @@ _STORES = {
     "authz": ("authz", AuthzEngine),
 }
 _NAMES = {key: name for name, (key, _) in _STORES.items()}  # section -> store
+# The stores every change to which emits a mutation named after them.
+_AUDITED = ("directory", "cloud", "vault")
 _HEAD = ("clock", "config", "schema_version", "secrets")  # decoded by every load
 # Every section, in the order a key-sorted dump of the document writes them.
 _KEYS = tuple(sorted([*_HEAD, "audit", *_NAMES]))
 
 
 def canonical_json(data: dict) -> str:
-    """A non-empty object as key-sorted JSON indented by two spaces, and a newline.
+    """A non-empty object as key-sorted JSON indented by two spaces, and a newline."""
+    return _indented(sorted(data), data.__getitem__)
 
-    Each top-level value is dumped on its own: the indenting encoder holds every
-    piece of its text at once (26 MB for the 1k world in one dump).
+
+def _indented(keys, value) -> str:
+    """The object of the sorted ``keys``, each with ``value(key)``, as ``canonical_json`` writes it.
+
+    Each value is made and dumped in turn, and dropped before the next: the
+    indenting encoder holds every piece of its text at once (26 MB for the 1k
+    world in one dump).
     """
     items = (f"  {json.dumps(key, ensure_ascii=False)}: "
-             + json.dumps(data[key], indent=2, sort_keys=True, ensure_ascii=False)
-             .replace("\n", "\n  ") for key in sorted(data))
+             + json.dumps(value(key), indent=2, sort_keys=True, ensure_ascii=False)
+             .replace("\n", "\n  ") for key in keys)
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
@@ -98,24 +107,30 @@ class World:
     A world loaded from a working file keeps the file's text and decodes each
     store from it on first use, alone: the stores a store holds are decoded
     only when it takes them (``codec.Holder``).
+
+    Nothing the world reaches refers back to it but weakly (the audit's clock,
+    each holder), so it is freed as soon as its last reference goes, without
+    waiting for the cyclic collector.
     """
 
     def __init__(self, config: ReconcileConfig, secrets: SecretSource, text: str = "",
                  spans: dict[str, tuple[int, int]] | None = None) -> None:
         self.clock = 0
         self.config = config
-        self.audit = AuditLog(lambda: self.clock)
+        world = weakref.proxy(self)
+        self.audit = AuditLog(lambda: world.clock)
         self.secrets = secrets
-        # The file text, and where in it each store not decoded yet is.
+        # The file text, and where in it each store is that is as loaded: one not
+        # decoded yet, or an audited one, unless ``audit.mutated`` names it.
         self._text = text
-        self._pending = {name: spans[key] for name, (key, _) in _STORES.items()} if spans else {}
+        self._loaded = {name: spans[key] for name, (key, _) in _STORES.items()} if spans else {}
         for name, (_, make) in _STORES.items():
-            if name not in self._pending:
+            if name not in self._loaded:
                 setattr(self, name, make(self))
 
     def __getattr__(self, name: str):
         # Runs only for an attribute not set: a store decoded on first use.
-        span = self.__dict__.get("_pending", {}).get(name)
+        span = self.__dict__.get("_loaded", {}).get(name)
         if span is None:
             raise AttributeError(f"'World' object has no attribute {name!r}")
         key, make = _STORES[name]
@@ -123,15 +138,13 @@ class World:
         with malformed(key):
             store.load_state(parse_at(self._text, *span))
         setattr(self, name, store)
-        del self._pending[name]
-        if not self._pending:  # the rest of the file text is no longer needed
-            self._text = ""
-            self.audit.own_lines()
+        if name not in _AUDITED:  # it may change without an event
+            del self._loaded[name]
         return store
 
     def decode(self) -> "World":
         """Decode every section now, so that a malformed one raises here."""
-        for name in list(self._pending):
+        for name in list(self._loaded):
             getattr(self, name)
         self.audit.decoded()
         return self
@@ -154,20 +167,22 @@ class World:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self, reveal_secrets: bool = True) -> dict:
-        data = self._head()
-        for name, (key, _) in _STORES.items():
-            data[key] = getattr(self, name).to_dict()
-        data["audit"] = self.audit.to_dict()
-        if not reveal_secrets:
-            redact(data["vault"])
-        return data
-
-    def _head(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, "clock": self.clock,
-                "config": encode(self.config), "secrets": encode(self.secrets)}
+        return {key: self._section(key, reveal_secrets) for key in _KEYS}
 
     def export_text(self, reveal_secrets: bool = False) -> str:
-        return canonical_json(self.to_dict(reveal_secrets))
+        return _indented(_KEYS, lambda key: self._section(key, reveal_secrets))
+
+    def _section(self, key: str, reveal_secrets: bool = True):
+        """One top-level section of the state document, as plain data."""
+        name = _NAMES.get(key)
+        if key == "audit":
+            return self.audit.to_dict()
+        if name is None:  # the head: the schema version, and the clock, config and secrets
+            return SCHEMA_VERSION if key == "schema_version" else encode(getattr(self, key))
+        data = getattr(self, name).to_dict()
+        if key == "vault" and not reveal_secrets:
+            redact(data)
+        return data
 
     @classmethod
     def from_dict(cls, data, text: str = "", spans: dict[str, tuple[int, int]] | None = None
@@ -204,19 +219,20 @@ class World:
     def save(self, path: str | Path) -> list[str]:
         """Write the working file; return the audit lines it encoded, for the sidecar.
 
-        A store not decoded and the loaded audit lines are written back as loaded.
+        A store not decoded, a directory, cloud or vault with no mutation since
+        the load, and the loaded audit lines are written back as loaded.
         """
-        lines, head = self.audit.lines(), self._head()
+        lines = self.audit.lines()
         pieces: list[str] = []
         for key in _KEYS:
             name = _NAMES.get(key)
             pieces.append(f',\n"{key}":' if pieces else f'{{"{key}":')
             if key == "audit":
                 pieces += self.audit.text(lines)
-            elif name in self._pending:
-                pieces.append(self._text[slice(*self._pending[name])])
+            elif name in self._loaded and name not in self.audit.mutated:
+                pieces.append(self._text[slice(*self._loaded[name])])
             else:
-                pieces.append(compact_json(getattr(self, name).to_dict() if name else head[key]))
+                pieces.append(compact_json(self._section(key)))
         write_atomic(path, *pieces, "}\n")
         return lines
 

@@ -1,15 +1,20 @@
 """Crash-safe state writes and the append-only audit sidecar."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import shutil
 import stat
 import threading
+import types
+import weakref
 from pathlib import Path
 
 import pytest
 
-from mirrorplane import AccessAction, audit
+from mirrorplane import AccessAction, audit, cli
 from mirrorplane.cli import Session, dispatch, main
 from mirrorplane.codec import encode
 from mirrorplane.errors import SchemaError
@@ -821,3 +826,107 @@ def test_another_form_loads_whole_and_the_next_write_rewrites_it_one_section_per
     text = walked.read_text(encoding="utf-8")
     assert text == oracles.working_text(json.loads(text))
     assert holds_the_world(walked)
+
+
+# -- a store that did not change is written back as loaded ---------------------------
+
+
+def test_a_hand_edited_section_keeps_its_form_until_its_store_changes(walked, capsys):
+    text = walked.read_text(encoding="utf-8")
+    start = text.index('\n"cloud":') + len('\n"cloud":')
+    stop = text.index("\n", start) - 1  # less the ","
+    spaced = json.dumps(json.loads(text[start:stop]))  # ", " and ": ", its own key order
+    walked.write_text(text[:start] + spaced + text[stop:], encoding="utf-8")
+    assert main(["reconcile", "--once"]) == 0  # decodes the cloud and saves a tick
+    assert f'\n"cloud":{spaced},\n' in walked.read_text(encoding="utf-8")
+    assert main(["cloud", "set-quota", "service-accounts-project", "50"]) == 0
+    text = walked.read_text(encoding="utf-8")
+    assert text == oracles.working_text(json.loads(text))
+    assert holds_the_world(walked)
+
+
+# -- a world is freed as soon as its last reference goes -----------------------------
+
+
+@pytest.fixture
+def no_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_a_decoded_world_is_freed_without_the_collector(walked, no_collector):
+    freed = weakref.ref(World.load(walked).decode())
+    assert freed() is None
+
+
+def test_the_world_of_a_session_that_committed_a_write_is_freed(walked, no_collector):
+    session = Session(walked)
+    session.world.directory.add_group("committed")
+    session.commit()
+    freed = weakref.ref(session.world)
+    del session
+    assert freed() is None
+
+
+def test_the_world_of_a_command_that_failed_is_freed(walked, no_collector, monkeypatch, capsys):
+    loaded = []
+    real = World.load
+
+    def load(path):
+        world = real(path)
+        loaded.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(World, "load", load)
+    assert main(["vault", "read", "--as", "helen", POSTS_MIRROR]) == 1
+    assert "PermissionDenied" in capsys.readouterr().err
+    assert len(loaded) == 1 and loaded[0]() is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["cloud", "tree"],
+    ["verify"],
+    ["reconcile", "--once"],
+    ["authz", "token", "--as", "posts-analyze", POSTS_MIRROR],
+    ["vault", "read", "--as", "helen", POSTS_MIRROR],  # exits 1
+], ids=" ".join)
+def test_a_finished_command_leaves_nothing_to_the_collector(walked, no_collector, capsys, argv):
+    main(argv)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(("argv", "code"), [
+    (["clock", "show"], 0),
+    (["dir", "add-user", "helen", "--kind", "human"], 1),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_a_command_frees_the_streams_it_printed_to(walked, argv, code):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert out.getvalue() if code == 0 else err.getvalue()
+    freed = weakref.ref(out), weakref.ref(err)
+    del out, err
+    assert [ref() for ref in freed] == [None, None]
+
+
+def test_a_scenario_frees_each_command_s_output_buffer(walked, tmp_path, monkeypatch, capsys):
+    made = []
+
+    class Buffer(io.StringIO):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "io", types.SimpleNamespace(StringIO=Buffer))
+    assert run_script(tmp_path, "clock show", "dir add-group freed", "audit tail -n 1") == 0
+    assert len(made) == 3 and [ref() for ref in made] == [None] * 3
+
+
+def test_a_holder_whose_world_is_gone_says_so(walked, no_collector):
+    vault = World.load(walked).vault
+    with pytest.raises(ReferenceError):
+        vault.store_key(POSTS_MIRROR, "posts-analyze", "0" * 32)

@@ -5,14 +5,16 @@ exposes; the assertions are the module invariants, including the central
 safety claim that every reachable state verifies clean.
 """
 
+import gc
 import json
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorplane import AccessAction, KeyState, PrincipalKind, World, verify_world
+from mirrorplane import AccessAction, Category, KeyState, PrincipalKind, World, verify_world
 from mirrorplane.cli import Session
 from mirrorplane.cloud import AccountStatus, workspace_principal
 from mirrorplane.codec import encode
@@ -571,3 +573,64 @@ def test_a_partly_decoded_world_saves_what_a_fully_decoded_one_saves(
             assert sidecar.splitlines() == audit_lines(text)
             written[label] = text, sidecar
         assert written["partly"] == written["fully"]
+
+
+# The stores every change to which emits a mutation named after them.
+AUDITED = ["directory", "cloud", "vault"]
+
+
+def sections(text: str) -> dict[str, str]:
+    """Each top-level section's text in a working file, found a line each."""
+    found = {}
+    for line in text.split("\n")[1:-1]:  # the audit array's first line, then the trailing ""
+        if line.startswith('"'):
+            key, value = line.split(":", 1)
+            found[json.loads(key)] = value[:-1]  # less the "," or, on the last line, the "}"
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=st.lists(pooled_ops, max_size=20), touched=st.sets(st.sampled_from(TOUCHABLE)),
+       more=st.lists(pooled_ops, max_size=12))
+@example(stream=[("add", "ann", True), ("add", "helen", True), ("join", "ann", True),
+                 ("join", "helen", True), ("tick", "ann", True), ("bucket", "ann", True),
+                 ("read-join", "ann", False), ("sync", "ann", True)],
+         touched=set(), more=[("read-leave", "ann", False), ("sync", "ann", True),
+                              ("vault-read", "ann", True), ("leave", "ann", True)])
+def test_a_store_with_no_mutation_since_the_load_encodes_to_its_loaded_text(stream, touched, more):
+    # The premise of writing such a store back as loaded: no change escapes the audit.
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "world.json"
+        world = World.new(seed=9)
+        apply_ops(world, stream)
+        world.save(path)
+        loaded = sections(path.read_text(encoding="utf-8"))
+        world = World.load(path)
+        events = len(world.audit)
+        for name in touched:
+            touch(world, name)
+        apply_more_ops(world, more)
+        mutated = {event.action.partition(".")[0] for event in world.audit.decoded()[events:]
+                   if event.category is Category.MUTATION}
+        for name in AUDITED:
+            if name not in mutated:
+                assert compact_json(getattr(world, name).to_dict()) == loaded[name], name
+        world.advance(1)
+        world.save(path)
+        assert path.read_text(encoding="utf-8") == oracles.working_text(
+            json.loads(world.export_text(True)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(stream=st.lists(pooled_ops, max_size=20))
+def test_a_world_is_freed_without_the_collector_after_any_stream(stream):
+    gc.collect()
+    gc.disable()
+    try:
+        world = World.new(seed=10)
+        apply_ops(world, stream)
+        freed = weakref.ref(world)
+        del world
+        assert freed() is None
+    finally:
+        gc.enable()
