@@ -18,8 +18,12 @@ last bucket's reader group, ``authz token`` for that bucket's owner and
 ``authz check`` of the token on the bucket), every entry of which must be
 ``ok``.  Then the state file's ``directory``, ``cloud`` and ``vault`` lines must
 equal the re-encoding of a fully decoded reload, or the run fails: a save
-writes a store with no mutation back as loaded.  The writes change the state
-file, so each round starts two minutes, one tick, one user and one token later.
+writes a store with no mutation back as loaded.  Last, it times ``state
+import`` into a second state file of a copy of the state file
+(``import_working_s``) and of its ``state export --reveal-secrets`` output
+(``import_export_s``); each must write the state file's bytes and its sidecar's.
+The writes change the state file, so each round starts two minutes, one tick,
+one user and one token later.
 The flags, rounds and output file are ``scripts/timing.py``'s.
 """
 
@@ -121,6 +125,17 @@ def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict, list[str]]
     if code != 0 or [entry["status"] for entry in entries] != ["ok"] * len(lines):
         raise SystemExit(f"scenario run exited {code}: {out}")
     check_written_back(state)
+
+    copy, export = state.with_name("copy.json"), state.with_name("export.json")
+    copy.write_bytes(state.read_bytes())
+    run_cli(state, ["state", "export", "--reveal-secrets", "-o", str(export)])
+    imported = state.with_name("imported.json")
+    for name, source in (("import_working_s", copy), ("import_export_s", export)):
+        argv = ["state", "import", str(source)]
+        (code, out), times[name] = timing.timed(lambda: run_cli(imported, argv))
+        sidecars = {Path(f"{path}.audit.jsonl").read_bytes() for path in (state, imported)}
+        if code != 0 or imported.read_bytes() != state.read_bytes() or len(sidecars) != 1:
+            raise SystemExit(f"state import {source} exited {code} or wrote another world: {out}")
     return times, info
 
 
@@ -134,5 +149,8 @@ if __name__ == "__main__":
                 "CLI commands clock show, clock advance 1m, reconcile --once, report last, dir "
                 "add-user of a new headless user and readers join of that user on the state file, "
                 "then one scenario run of the benchmark's replay mix (scenario_s); the directory, "
-                "cloud and vault lines must then equal a fully decoded reload's encoding"),
+                "cloud and vault lines must then equal a fully decoded reload's encoding; last, "
+                "state import into another state file of a copy of the state file "
+                "(import_working_s) and of its state export --reveal-secrets output "
+                "(import_export_s), each of which must write the state file's and sidecar's bytes"),
     )

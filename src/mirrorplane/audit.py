@@ -81,9 +81,9 @@ class AuditLog:
     writes the ``_covered`` loaded lines back as they are and encodes only the
     events after them.
 
-    ``mutated`` names each store a mutation was emitted for ("directory",
-    "cloud" or "vault", the action's prefix), so that a save writes a store
-    with none back as it was loaded.
+    ``mutated`` names each store a mutation was emitted for since the last save
+    ("directory", "cloud" or "vault", the action's prefix), so that a save
+    writes a store with none back as it was last read or written.
     """
 
     def __init__(self, now: Callable[[], int]) -> None:
@@ -219,11 +219,6 @@ class AuditLog:
         """Every event as plain data; loaded events not decoded yet are parsed, not decoded."""
         return (self._loaded(self._offset) if self._offset else []) + encode(self._events)
 
-    def load_state(self, data: list[dict]) -> None:
-        if not isinstance(data, list):
-            raise TypeError(f"the audit must be a list, not {type(data).__name__}")
-        self._events = _decode(data)
-
     def load_lines(self, text: str, start: int, stop: int) -> None:
         """Take the array ``text[start:stop]``, one event per line, to parse when it is read."""
         self._text, self._start, self._stop = text, start, stop
@@ -244,7 +239,7 @@ class AuditLog:
             return head, "]"
         return head, ",\n" if self._covered else "\n", ",\n".join(lines), "]"
 
-    def sidecar_lines(self, written: int, lines: list[str] | None = None) -> Iterator[str]:
+    def sidecar_lines(self, written: int, lines: list[str] | None) -> Iterator[str]:
         """The sidecar lines of the events from index ``written`` on, given ``lines()``: the file's, less commas."""
         if written < self._covered:
             old = self._text[self._line(self._covered - written):self._stop - 1]

@@ -26,7 +26,7 @@ from .errors import ControlPlaneError, NotFound, ParseError, SidecarAhead, State
 from .reconciler import ShardingMode, parse_config
 from .scenario import run_script
 from .verify import verify_world
-from .world import World, canonical_json, write_atomic
+from .world import World, canonical_json, working_text, write_atomic
 
 # An ``open`` opener that creates a missing file owner-only (0600).
 _owner_only = functools.partial(os.open, mode=0o600)
@@ -575,8 +575,8 @@ def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
 def state_import(session: Session, path: str) -> None:
     # Decoded in full, so a malformed section refuses the import before a file is
     # touched, and encoded again, whatever the import's spacing or key order.
-    world = World.from_dict(World.load(path).to_dict())
-    session.replace(world)
+    data = World.load(path).decode().to_dict()
+    session.replace(World.loads(working_text(data)))
     session.commit()
     echo(f"imported {path}")
 

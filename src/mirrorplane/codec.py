@@ -16,8 +16,8 @@ its own error.  Dataclasses are still called: filling a frozen instance's
 
 A document may omit a field's key only when the field's type admits None (it
 decodes as None) or the field is declared with :func:`optional`.  Any other
-missing key raises ``KeyError``, which ``World.from_dict`` reports as a
-``SchemaError`` at the section.
+missing key raises ``KeyError``, which the first decode of the store reports
+as a ``SchemaError`` at its section.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ two-space-indented JSON with integer timestamps, so snapshots diff cleanly and
 export -> import -> export is byte-identical.  The working state file holds the
 same document as compact JSON with each top-level section on a line of its
 own, and each audit event too, so a load finds the sections without a parse;
-either form loads.
+another form loads as the working text of its document (``working_text``).
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def write_atomic(path: str | Path, *pieces: str) -> None:
 class World:
     """Aggregate root; all module objects share its audit log and clock.
 
-    A world loaded from a working file keeps the file's text and decodes each
-    store from it on first use, alone: the stores a store holds are decoded
-    only when it takes them (``codec.Holder``).
+    A loaded world keeps the working text of its file, whatever the file's form,
+    and decodes each store from it on first use, alone: the stores a store
+    holds are decoded only when it takes them (``codec.Holder``).
 
     Nothing the world reaches refers back to it but weakly (the audit's clock,
     each holder), so it is freed as soon as its last reference goes, without
@@ -120,23 +120,22 @@ class World:
         world = weakref.proxy(self)
         self.audit = AuditLog(lambda: world.clock)
         self.secrets = secrets
-        # The file text, and where in it each store is that is as loaded: one not
+        # Each store's text as last read or written, as (text, start, stop): one not
         # decoded yet, or an audited one, unless ``audit.mutated`` names it.
-        self._text = text
-        self._loaded = {name: spans[key] for name, (key, _) in _STORES.items()} if spans else {}
+        self._loaded = {name: (text, *spans[key]) for key, name in _NAMES.items()} if spans else {}
         for name, (_, make) in _STORES.items():
             if name not in self._loaded:
                 setattr(self, name, make(self))
 
     def __getattr__(self, name: str):
         # Runs only for an attribute not set: a store decoded on first use.
-        span = self.__dict__.get("_loaded", {}).get(name)
-        if span is None:
+        loaded = self.__dict__.get("_loaded", {}).get(name)
+        if loaded is None:
             raise AttributeError(f"'World' object has no attribute {name!r}")
         key, make = _STORES[name]
         store = make(self)
         with malformed(key):
-            store.load_state(parse_at(self._text, *span))
+            store.load_state(parse_at(*loaded))
         setattr(self, name, store)
         if name not in _AUDITED:  # it may change without an event
             del self._loaded[name]
@@ -166,8 +165,8 @@ class World:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self, reveal_secrets: bool = True) -> dict:
-        return {key: self._section(key, reveal_secrets) for key in _KEYS}
+    def to_dict(self) -> dict:
+        return {key: self._section(key) for key in _KEYS}
 
     def export_text(self, reveal_secrets: bool = False) -> str:
         return _indented(_KEYS, lambda key: self._section(key, reveal_secrets))
@@ -185,42 +184,17 @@ class World:
         return data
 
     @classmethod
-    def from_dict(cls, data, text: str = "", spans: dict[str, tuple[int, int]] | None = None
-                  ) -> "World":
-        """The world ``data`` holds; with ``spans``, a world whose stores decode from ``text``."""
-        if not isinstance(data, dict):
-            raise SchemaError("state document must be a JSON object (at /)")
-        for key in _HEAD if spans else _KEYS:
-            if key not in data:
-                raise SchemaError(f"missing required key (at /{key})")
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported schema_version {data['schema_version']!r} "
-                "(at /schema_version)"
-            )
-
-        def load(section: str, loader):
-            with malformed(section):
-                return loader(data[section])
-
-        config = load("config", lambda d: decode(ReconcileConfig, d))
-        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)), text, spans)
-        world.clock = load("clock", lambda value: counter(value, "clock"))
-        if spans:
-            world.audit.load_lines(text, *spans["audit"])
-            return world
-        for name, (key, _) in _STORES.items():
-            load(key, getattr(world, name).load_state)
-        load("audit", world.audit.load_state)
-        return world
+    def from_dict(cls, data) -> "World":
+        """The world ``data`` holds, decoded in full, so that a malformed section raises here."""
+        return cls.loads(working_text(data)).decode()
 
     # -- files ---------------------------------------------------------------
 
     def save(self, path: str | Path) -> list[str]:
         """Write the working file; return the audit lines it encoded, for the sidecar.
 
-        A store not decoded, a directory, cloud or vault with no mutation since
-        the load, and the loaded audit lines are written back as loaded.
+        A store not decoded, a directory, cloud or vault with no mutation since its
+        text was last read or written, and the loaded audit lines go back as they were.
         """
         lines = self.audit.lines()
         pieces: list[str] = []
@@ -230,30 +204,45 @@ class World:
             if key == "audit":
                 pieces += self.audit.text(lines)
             elif name in self._loaded and name not in self.audit.mutated:
-                pieces.append(self._text[slice(*self._loaded[name])])
+                text, start, stop = self._loaded[name]
+                pieces.append(text[start:stop])
             else:
                 pieces.append(compact_json(self._section(key)))
+                if name in self._loaded:
+                    self._loaded[name] = (pieces[-1], 0, len(pieces[-1]))
         write_atomic(path, *pieces, "}\n")
+        self.audit.mutated.clear()
         return lines
 
     @classmethod
     def load(cls, path: str | Path) -> "World":
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            spans = _spans(text)
-            data = {key: parse_at(text, *spans[key]) for key in _HEAD} if spans else json.loads(text)
+            return cls.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaError(f"state file is not valid JSON: {exc}") from exc
-        if spans:
-            return cls.from_dict(data, text, spans)
-        # Another form (an export, an older working file): its stores decode now,
-        # its events, put one per line, when first read.
-        events = data.get("audit") if isinstance(data, dict) else None
-        if not isinstance(events, list):
-            return cls.from_dict(data)  # which raises the document's error
-        world = cls.from_dict({**data, "audit": []})
-        array = "[\n" + ",\n".join(map(compact_json, events)) + "]" if events else "[]"
-        world.audit.load_lines(array, 0, len(array))
+
+    @classmethod
+    def loads(cls, text: str) -> "World":
+        """The world of a state file's text, in any form: each store decodes on first use."""
+        spans = _spans(text)
+        if spans is None:  # another form (an export, an older working file): its working text
+            text = working_text(json.loads(text))
+            spans = _spans(text)
+        head = {key: parse_at(text, *spans[key]) for key in _HEAD}
+        if head["schema_version"] != SCHEMA_VERSION:
+            raise SchemaError(
+                f"unsupported schema_version {head['schema_version']!r} "
+                "(at /schema_version)"
+            )
+
+        def load(section: str, loader):
+            with malformed(section):
+                return loader(head[section])
+
+        config = load("config", lambda d: decode(ReconcileConfig, d))
+        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)), text, spans)
+        world.clock = load("clock", lambda value: counter(value, "clock"))
+        world.audit.load_lines(text, *spans["audit"])
         return world
 
 
@@ -275,7 +264,23 @@ def _spans(text: str) -> dict[str, tuple[int, int]] | None:
             return None
         spans[key], stop = (at + len(line), stop), at - 1
     empty = stop == len(head) + 2 and text.startswith("[]", len(head))
-    if not empty and not (text.startswith("[\n{", len(head)) and text[stop - 1] == "]"):
+    if not empty and not (text.startswith("[\n", len(head)) and text[stop - 1] == "]"):
         return None
     spans["audit"] = (len(head), stop)
     return spans
+
+
+def working_text(data) -> str:
+    """The state document ``data`` as a working file's text."""
+    if not isinstance(data, dict):
+        raise SchemaError("state document must be a JSON object (at /)")
+    for key in _KEYS:
+        if key not in data:
+            raise SchemaError(f"missing required key (at /{key})")
+    events = data["audit"]
+    if not isinstance(events, list):
+        with malformed("audit"):
+            raise TypeError(f"the audit must be a list, not {type(events).__name__}")
+    audit = "[\n" + ",\n".join(map(compact_json, events)) + "]" if events else "[]"
+    return "{" + ",\n".join(
+        f'"{key}":{audit if key == "audit" else compact_json(data[key])}' for key in _KEYS) + "}\n"

@@ -17,6 +17,7 @@ import pytest
 from mirrorplane import AccessAction, audit, cli
 from mirrorplane.cli import Session, dispatch, main
 from mirrorplane.codec import encode
+from mirrorplane.directory import Directory
 from mirrorplane.errors import SchemaError
 from mirrorplane.onboarder import cloud_reader_group
 from mirrorplane.world import _STORES, World, compact_json
@@ -744,6 +745,18 @@ def test_a_write_on_a_gapped_audit_is_refused_and_verify_reports_the_gap(walked,
     assert both_files(walked) == before
 
 
+def test_two_events_on_the_last_audit_line_are_refused_when_it_is_read(walked, capsys):
+    text = walked.read_text(encoding="utf-8")
+    last = text.rindex(",\n{", 0, text.index('\n"authz":'))  # before the last event's line
+    walked.write_text(text[:last] + "," + text[last + 2:], encoding="utf-8")
+    before = both_files(walked)
+    capsys.readouterr()
+    assert main(["audit", "tail", "-n", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: malformed section (at /audit): 1 lines hold 2 events\n")
+    assert both_files(walked) == before
+
+
 @pytest.fixture(scope="module")
 def walked_once(tmp_path_factory):
     state = tmp_path_factory.mktemp("walked") / "world.json"
@@ -843,6 +856,39 @@ def test_a_hand_edited_section_keeps_its_form_until_its_store_changes(walked, ca
     text = walked.read_text(encoding="utf-8")
     assert text == oracles.working_text(json.loads(text))
     assert holds_the_world(walked)
+
+
+def test_a_changed_store_is_encoded_once_by_the_saves_of_one_scenario(
+        walked, tmp_path, monkeypatch, capsys):
+    alone = tmp_path / "alone.json"
+    shutil.copy(walked, alone)
+    shutil.copy(f"{walked}.audit.jsonl", f"{alone}.audit.jsonl")
+    encodes, real = [], Directory.to_dict
+    monkeypatch.setattr(Directory, "to_dict", lambda store: encodes.append(1) or real(store))
+    lines = ["readers join user.helen.dp.domain posts-analyze", *["clock advance 1m"] * 3]
+    assert run_script(tmp_path, *lines) == 0
+    assert len(encodes) == 1  # by the first save; the other three write its text back
+    for line in lines:
+        assert main(["--state", str(alone), *line.split()]) == 0
+    assert both_files(walked)[1:] == both_files(alone)[1:]
+    assert holds_the_world(walked)
+
+
+# -- every form of a state file decodes each store on first use ------------------------
+
+
+def test_an_export_with_a_malformed_store_fails_only_the_commands_that_read_it(walked, capsys):
+    assert main(["state", "export", "--reveal-secrets", "-o", "export.json"]) == 0
+    data = json.loads(Path("export.json").read_text(encoding="utf-8"))
+    data["vault"] = {"entries": [{"nonsense": True}]}
+    walked.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    before = both_files(walked)
+    assert main(["clock", "show"]) == 0
+    assert main(["dir", "show"]) == 0
+    capsys.readouterr()
+    assert main(["vault", "ls"]) == 1
+    assert "SchemaError: malformed section (at /vault)" in capsys.readouterr().err
+    assert both_files(walked) == before
 
 
 # -- a world is freed as soon as its last reference goes -----------------------------

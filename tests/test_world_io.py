@@ -83,6 +83,15 @@ def test_an_audit_that_is_not_a_list_is_refused_at_load(audit):
     assert str(excinfo.value).startswith("malformed section (at /audit): the audit must be a list")
 
 
+@pytest.mark.parametrize("audit", [[1], [[1]], ["x"]], ids=["int", "list", "str"])
+def test_an_audit_of_other_than_events_is_refused_at_the_audit(audit):
+    data = json.loads(build_world().export_text(reveal_secrets=True))
+    data["audit"] = audit
+    with pytest.raises(SchemaError) as excinfo:
+        World.from_dict(data)
+    assert str(excinfo.value).startswith("malformed section (at /audit): ")
+
+
 def test_bad_schema_version_and_clock():
     data = json.loads(build_world().export_text(reveal_secrets=True))
     data["schema_version"] = 99
