@@ -60,8 +60,8 @@ MUTANTS = [
      "            continue",
      "a document without a section fails with a KeyError"),
     ("spans-audit-object-first", "world.py",
-     'text.startswith("[\\n", len(head))',
-     'text.startswith("[\\n{", len(head))',
+     'data.startswith(b"[\\n", len(head))',
+     'data.startswith(b"[\\n{", len(head))',
      "a working text whose first event is not an object is not a working file"),
     ("save-writes-back-mutated", "world.py",
      "elif name in self._loaded and name not in self.audit.mutated:",
@@ -76,12 +76,12 @@ MUTANTS = [
      "",
      "every save re-encodes each store changed since the load"),
     ("load-lines-unchecked", "audit.py",
-     "        self._unchecked = bool(self._offset)",
+     '        self._unchecked = stop - start > len(b"[]")',
      "        self._unchecked = False",
      "a new event is numbered without checking the last loaded line's seq"),
-    ("load-lines-nothing-covered", "audit.py",
-     "        self._covered = self._offset\n",
-     "        self._covered = 0\n",
+    ("count-nothing-covered", "audit.py",
+     "            self._covered = self._offset = self._data.count(",
+     "            self._covered, self._offset = 0, self._data.count(",
      "a save takes the loaded lines for new ones"),
     ("loaded-no-count-check", "audit.py",
      "            if len(data) != count:",
@@ -91,6 +91,30 @@ MUTANTS = [
      "            if last != len(self):",
      "            if last < len(self):",
      "loaded lines that end before their last event's seq are taken"),
+    ("loads-no-utf8-check", "world.py",
+     "        elif not data.isascii():\n            str(data, ",
+     "        elif False:\n            str(data, ",
+     "a working file with a byte that is not UTF-8 loads, and fails only where it is decoded"),
+    ("loads-fallback-parses-bytes", "world.py",
+     'json.loads(str(data, "utf-8"))',
+     "json.loads(data)",
+     "a file that is not a working file is parsed as bytes, so UTF-16 with a byte-order mark loads"),
+    ("parse-at-no-whole-text-error", "codec.py",
+     '        text, end = str(data, "utf-8"), len(str(view[:start], "utf-8"))\n',
+     "        end = max(end, 0)\n",
+     "a section that does not parse reports its error at a place in its own line, not in the file"),
+    ("first-emit-skips-count", "audit.py",
+     'last = self._loaded(1)[0]["seq"] if self._count() else',
+     'last = self._loaded(1)[0]["seq"] if self._offset else',
+     "the first emit after a load takes the loaded lines, not counted yet, for none"),
+    ("len-skips-count", "audit.py",
+     "        return self._count() + len(self._events)",
+     "        return self._offset + len(self._events)",
+     "len reads no loaded event until something else has counted the loaded lines"),
+    ("mark-counts-loaded-lines", "audit.py",
+     "        return len(self._events) - (self._covered or 0) + self._offset",
+     "        return len(self)",
+     "a command's mark counts every loaded audit line, so a read-only command pays for the count"),
     ("mutation-no-record", "audit.py",
      '        self.mutated.add(action.partition(".")[0])\n',
      "",

@@ -1,4 +1,4 @@
-"""Time the state file's load and save, six CLI commands and a scenario on the operator-cli world.
+"""Time the state file's load and save, eight CLI commands and a scenario on the operator-cli world.
 
 Builds the benchmark's operator-cli world at 1k, 4k and 16k principals (or at
 the ``--sizes`` given) through ``bench/workloads.operator_cli_setup`` (buckets
@@ -7,11 +7,15 @@ the state file and its audit sidecar; a build that disagrees with the
 generator's model fails the run.  Then, in each of several rounds, it times on
 every size, once each: ``World.load`` of the state file, ``World.save`` of the
 world just loaded to a second file, which must hold the state file's bytes,
-and the in-process CLI commands ``clock show``, ``clock advance 1m``,
-``reconcile --once`` (a no-op tick), ``report last``, ``dir add-user`` of a new
-headless user and ``readers join`` of that user to the first bucket's reader
-group on the state file, each of which must exit 0; the user must then be in
-the directory and that group loaded back.  Last, it times one ``scenario run``
+and the in-process CLI commands ``clock show``, ``dir show`` of the first
+bucket's owner, ``cloud show`` of that owner's active mirror, ``clock advance
+1m``, ``reconcile --once`` (a no-op tick), ``report last``, ``dir add-user`` of
+a new headless user and ``readers join`` of that user to the first bucket's
+reader group on the state file, each of which must exit 0; the user must then
+be in the directory and that group loaded back.  ``dir show`` and ``cloud
+show`` are the benchmark's two reads on either side of the operator-cli
+workload's median read: the first decodes the directory alone, the second the
+cloud alone, and neither reads the audit.  Last, it times one ``scenario run``
 of the benchmark's replay mix (``clock show``, ``dir show``, ``cloud show``,
 ``report last``, ``clock advance 1m``, ``readers join`` of the new user to the
 last bucket's reader group, ``authz token`` for that bucket's owner and
@@ -38,6 +42,8 @@ import timing
 
 COMMANDS = {
     "clock_show_s": ["clock", "show"],
+    "dir_show_s": ["dir", "show", "{owner}"],  # filled in for each world
+    "cloud_show_s": ["cloud", "show", "{email}"],
     "clock_advance_s": ["clock", "advance", "1m"],
     "reconcile_once_s": ["reconcile", "--once"],
     "report_last_s": ["report", "last"],
@@ -93,7 +99,7 @@ def check_written_back(state: Path) -> None:
 
 def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict, list[str]]
             ) -> tuple[dict[str, float], dict]:
-    from mirrorplane.onboarder import ldap_reader_group
+    from mirrorplane.onboarder import ldap_reader_group, principal_for_bucket
     from mirrorplane.world import World
     from workloads import run_cli
 
@@ -105,10 +111,13 @@ def measure(built: tuple[tempfile.TemporaryDirectory, Path, dict, list[str]]
     if saved.read_bytes() != state.read_bytes():
         raise SystemExit(f"World.save of the world loaded from {state} changed its bytes")
     times = {"load_s": load_s, "save_s": save_s}
+    owner = principal_for_bucket(bucket)
+    reads = {"owner": owner, "email": world.cloud.active_mirror_for(owner)}
     user = next(USERS)
     writes = {"dir_add_user_s": ["dir", "add-user", user, "--kind", "headless"],
               "readers_join_s": ["readers", "join", bucket, user]}
     for name, argv in {**COMMANDS, **writes}.items():
+        argv = [arg.format(**reads) for arg in argv]
         (code, out), times[name] = timing.timed(lambda: run_cli(state, argv))
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited {code}: {out}")
@@ -146,7 +155,8 @@ if __name__ == "__main__":
         method=("rounds over the worlds operator_cli_setup writes at seed 1 with their sidecars; "
                 "each round times, on every size and once each with gc.collect() before each, "
                 "World.load, World.save of the loaded world to another file, and the in-process "
-                "CLI commands clock show, clock advance 1m, reconcile --once, report last, dir "
+                "CLI commands clock show, dir show of the first bucket's owner, cloud show of its "
+                "active mirror, clock advance 1m, reconcile --once, report last, dir "
                 "add-user of a new headless user and readers join of that user on the state file, "
                 "then one scenario run of the benchmark's replay mix (scenario_s); the directory, "
                 "cloud and vault lines must then equal a fully decoded reload's encoding; last, "

@@ -73,13 +73,13 @@ class AuditLog:
     The log owns the logical clock (``now``) and the current tick and job
     (``scope``), so every event is stamped in one place.
 
-    A loaded log keeps the state file's text, whose audit array holds one
-    event per line, and parses nothing until it is read: ``len`` counts the
-    lines, ``tail(n)`` parses the last n, and the first iteration or query
+    A loaded log keeps the state file's bytes, whose audit array holds one
+    event per line, and counts the lines only for ``len``, an ``emit``, a
+    ``tail`` past the new events, a decode or the sidecar (``emitted`` counts
+    none); ``tail(n)`` parses the last n, and the first iteration or query
     parses and decodes them all.  Until then ``_events`` holds only the events
-    emitted since the load, after the ``_offset`` undecoded ones.  A save
-    writes the ``_covered`` loaded lines back as they are and encodes only the
-    events after them.
+    emitted since the load, after the ``_offset`` undecoded ones.  A save writes
+    the ``_covered`` loaded lines back as they are and encodes only new events.
 
     ``mutated`` names each store a mutation was emitted for since the last save
     ("directory", "cloud" or "vault", the action's prefix), so that a save
@@ -90,8 +90,8 @@ class AuditLog:
         self.now = now
         self._events: list[AuditEvent] = []
         self._offset = 0
-        # The loaded array is _text[_start:_stop]; a log built in memory has "[]".
-        self._text, self._start, self._stop, self._covered = "[]", 0, 2, 0
+        # The loaded array, _data[_start:_stop], holds _covered lines (None until counted).
+        self._data, self._start, self._stop, self._covered = b"[]", 0, 2, 0
         self._unchecked = False  # loaded lines whose last event's seq is not checked yet
         self.mutated: set[str] = set()
         self._tick_id: int | None = None
@@ -109,7 +109,7 @@ class AuditLog:
 
     def emit(self, actor: str, action: str, target: str, outcome: Outcome,
              category: Category) -> AuditEvent:
-        if self._unchecked:
+        if self._unchecked:  # the check counts the loaded lines; "[]" holds none to count
             self._check_last_seq()
         event = AuditEvent(
             seq=self._offset + len(self._events) + 1,
@@ -156,7 +156,11 @@ class AuditLog:
         return self.emit(CONTROL_PLANE, action, target, Outcome.FAILURE, Category.CONTROL)
 
     def __len__(self) -> int:
-        return self._offset + len(self._events)
+        return self._count() + len(self._events)
+
+    def emitted(self) -> int:
+        """How many events were emitted since the load (all of them in a log built in memory)."""
+        return len(self._events) - (self._covered or 0) + self._offset
 
     def __iter__(self) -> Iterator[AuditEvent]:
         return iter(self.decoded())
@@ -166,7 +170,7 @@ class AuditLog:
 
     def decoded(self) -> list[AuditEvent]:
         """Every event in order; loaded ones are decoded now (a malformed one raises SchemaError)."""
-        if self._offset:
+        if self._count():
             self._events[:0] = _decode(self._loaded(self._offset))
             self._offset = 0
         return self._events
@@ -176,7 +180,7 @@ class AuditLog:
         if n <= 0:
             return []
         new = self._events[-n:]
-        older = min(n - len(new), self._offset)
+        older = min(n - len(new), self._count()) if len(new) < n else 0
         return (_decode(self._loaded(older)) if older else []) + new
 
     def query(
@@ -217,35 +221,41 @@ class AuditLog:
 
     def to_dict(self) -> list[dict]:
         """Every event as plain data; loaded events not decoded yet are parsed, not decoded."""
-        return (self._loaded(self._offset) if self._offset else []) + encode(self._events)
+        return (self._loaded(self._offset) if self._count() else []) + encode(self._events)
 
-    def load_lines(self, text: str, start: int, stop: int) -> None:
-        """Take the array ``text[start:stop]``, one event per line, to parse when it is read."""
-        self._text, self._start, self._stop = text, start, stop
-        self._events, self._offset = [], text.count("\n", start, stop)
-        self._covered = self._offset
-        self._unchecked = bool(self._offset)
+    def load_lines(self, data: bytes, start: int, stop: int) -> None:
+        """Take the array ``data[start:stop]``, one event per line, to count and parse when it is read."""
+        self._data, self._start, self._stop = data, start, stop
+        self._events, self._offset, self._covered = [], 0, None
+        self._unchecked = stop - start > len(b"[]")
+
+    def _count(self) -> int:
+        """The loaded events not decoded yet; the loaded lines are counted the first time it is asked."""
+        if self._covered is None:
+            self._covered = self._offset = self._data.count(b"\n", self._start, self._stop)
+        return self._offset
 
     # -- the working file and its sidecar ------------------------------------
 
-    def lines(self) -> list[str]:
-        """Each event after the loaded lines, encoded as one compact line."""
-        return [compact_json(encode(event)) for event in self._events[self._covered - self._offset:]]
+    def lines(self) -> list[bytes]:
+        """Each event after the loaded lines, encoded as one compact UTF-8 line."""
+        return [compact_json(encode(e)).encode() for e in self._events[(self._covered or 0) - self._offset:]]
 
-    def text(self, lines: list[str]) -> tuple[str, ...]:
-        """The array the working file holds, in pieces: the loaded lines as they were, then ``lines``."""
-        head = self._text[self._start:self._stop - 1]  # less the "]"
+    def text(self, lines: list[bytes]) -> tuple[bytes | memoryview, ...]:
+        """The array the working file holds, in pieces: a view of the loaded lines, then ``lines``."""
+        head = memoryview(self._data)[self._start:self._stop - 1]  # less the "]"
         if not lines:
-            return head, "]"
-        return head, ",\n" if self._covered else "\n", ",\n".join(lines), "]"
+            return head, b"]"
+        return head, b",\n" if len(head) > 1 else b"\n", b",\n".join(lines), b"]"
 
-    def sidecar_lines(self, written: int, lines: list[str] | None) -> Iterator[str]:
+    def sidecar_lines(self, written: int, lines: list[bytes]) -> Iterator[bytes]:
         """The sidecar lines of the events from index ``written`` on, given ``lines()``: the file's, less commas."""
+        self._count()
         if written < self._covered:
-            old = self._text[self._line(self._covered - written):self._stop - 1]
-            yield old.replace(",\n", "\n") + "\n"
-        for line in (self.lines() if lines is None else lines)[max(written - self._covered, 0):]:
-            yield line + "\n"
+            old = self._data[self._line(self._covered - written):self._stop - 1]
+            yield old.replace(b",\n", b"\n") + b"\n"
+        for line in lines[max(written - self._covered, 0):]:
+            yield line + b"\n"
 
     def _check_last_seq(self) -> None:
         """Refuse to number an event after loaded lines whose last event is not ``#len(self)``.
@@ -253,7 +263,7 @@ class AuditLog:
         A line split in two, or one missing, would make the new event repeat or skip a seq.
         """
         with malformed("audit"):
-            last = self._loaded(1)[0]["seq"] if self._offset else self._events[-1].seq
+            last = self._loaded(1)[0]["seq"] if self._count() else self._events[-1].seq
             if last != len(self):
                 raise ValueError(f"{len(self)} lines end with event #{last}")
         self._unchecked = False
@@ -262,16 +272,16 @@ class AuditLog:
         """Where the last ``count`` loaded lines start."""
         at = self._stop
         for _ in range(count):
-            at = self._text.rfind("\n", self._start, at)
+            at = self._data.rfind(b"\n", self._start, at)
         return at + 1
 
     def _loaded(self, count: int) -> list[dict]:
         """The last ``count`` loaded events, parsed from their lines."""
         with malformed("audit"):
-            if count == self._covered:  # the whole array, in place
-                data = parse_at(self._text, self._start, self._stop)
+            if count == self._covered:  # the whole array, from a view of it
+                data = parse_at(self._data, self._start, self._stop)
             else:
-                data = json.loads("[" + self._text[self._line(count):self._stop])
+                data = json.loads("[" + str(memoryview(self._data)[self._line(count):self._stop], "utf-8"))
             if len(data) != count:
                 raise ValueError(f"{count} lines hold {len(data)} events")
         return data

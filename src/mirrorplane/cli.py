@@ -63,7 +63,7 @@ class Session:
         self._world = world
         # The mark of the world in the state file; None makes the next commit save.
         self._saved = _mark(world) if world is not None else None
-        self._lines: list[str] | None = None  # a save's encoded events, until the sidecar has them
+        self._lines: list[bytes] | None = None  # a save's encoded events, until the sidecar has them
 
     @property
     def audit_path(self) -> Path:
@@ -104,17 +104,19 @@ class Session:
             return 0, 0
         data = path.read_bytes()
         existing = data.count(b"\n")
-        if self._saved and existing > self._saved[0]:  # after replace it is empty
+        # The state file holds the events of its last load or save; after replace the sidecar is empty.
+        stored = self._saved and len(self.world.audit) - self.world.audit.emitted() + self._saved[0]
+        if self._saved and existing > stored:
             raise SidecarAhead(
                 f"{path} holds {existing} audit events but {self.state_path} only "
-                f"{self._saved[0]}; restore the matching state file"
+                f"{stored}; restore the matching state file"
             )
         return existing, data.rfind(b"\n") + 1
 
     def _sync_audit_sidecar(self, written: int, size: int) -> None:
         """Append the events the line-delimited sidecar lacks to its whole lines."""
         lines, self._lines = self._lines, None
-        with open(self.audit_path, "a", encoding="utf-8", opener=_owner_only) as handle:
+        with open(self.audit_path, "ab", opener=_owner_only) as handle:
             handle.truncate(size)  # drops a torn last line left by a crash mid-append
             handle.writelines(self.world.audit.sidecar_lines(written, lines))
 
@@ -122,9 +124,10 @@ class Session:
 def _mark(world: World) -> tuple[int, int, int]:
     # Every change outside the clock and a tick emits an audit event, and every
     # tick counts in ``ticks_run``: a world whose mark stands has not changed.
-    # A store never decoded cannot have changed, so the mark decodes none.
+    # The mark decodes no store (one never decoded cannot have changed) and
+    # counts no loaded event: it takes those emitted since the load.
     reconciler = vars(world).get("reconciler")
-    return len(world.audit), world.clock, reconciler.ticks_run if reconciler else 0
+    return world.audit.emitted(), world.clock, reconciler.ticks_run if reconciler else 0
 
 
 def on_world(command):
@@ -565,7 +568,7 @@ def state_export(world: World, reveal_secrets: bool, output: str | None) -> str:
     text = world.export_text(reveal_secrets=reveal_secrets)
     if output is None:
         return text
-    write_atomic(output, text)
+    write_atomic(output, text.encode())
     return f"exported to {output}"
 
 
@@ -604,7 +607,7 @@ def scenario_run(session: Session, script: str, strict: bool,
     for entry in entries:
         echo(entry.render())
     if transcript_out is not None:
-        write_atomic(transcript_out, canonical_json(encode({"entries": entries})))
+        write_atomic(transcript_out, canonical_json(encode({"entries": entries})).encode())
     failed = [e for e in entries if e.status == "error"]
     if strict and failed:
         raise ControlPlaneError(

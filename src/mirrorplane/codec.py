@@ -55,10 +55,17 @@ compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_as
 _DECODER = json.JSONDecoder()
 
 
-def parse_at(text: str, start: int, stop: int):
-    """The JSON value that fills ``text[start:stop]``, parsed in place, not sliced out."""
-    value, end = _DECODER.raw_decode(text, start)
-    if end != stop:
+def parse_at(data: bytes, start: int, stop: int):
+    """The JSON value that fills the UTF-8 ``data[start:stop]``, decoded from a view, not a copy."""
+    view = memoryview(data)
+    text = str(view[start:stop], "utf-8")
+    try:
+        value, end = _DECODER.raw_decode(text)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(text):  # parse all of ``data`` from there, for the error a parse of it gives
+        text, end = str(data, "utf-8"), len(str(view[:start], "utf-8"))
+        end = _DECODER.raw_decode(text, end)[1]
         raise json.JSONDecodeError("Value does not end where its line ends", text, end)
     return value
 

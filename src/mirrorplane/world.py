@@ -4,8 +4,8 @@ The canonical serialization (``state export``) is key-sorted,
 two-space-indented JSON with integer timestamps, so snapshots diff cleanly and
 export -> import -> export is byte-identical.  The working state file holds the
 same document as compact JSON with each top-level section on a line of its
-own, and each audit event too, so a load finds the sections without a parse;
-another form loads as the working text of its document (``working_text``).
+own, and each audit event too, so a load finds the sections in its bytes
+without a parse; another form loads as its document's ``working_text``.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def _indented(keys, value) -> str:
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
-def write_atomic(path: str | Path, *pieces: str) -> None:
-    """Replace ``path`` with the text ``pieces`` join to, so a reader sees the old or the new file, never a part.
+def write_atomic(path: str | Path, *pieces: bytes | memoryview) -> None:
+    """Replace ``path`` with the bytes ``pieces`` join to, so a reader sees the old or the new file, never a part.
 
-    The text goes to a temporary file in the same directory, which
+    The bytes go to a temporary file in the same directory, which
     ``os.replace`` then renames over ``path``.  That survives the process
     dying mid-write; there is no fsync, so it does not survive power loss.
     A symlink is written through: the rename lands on its target and the
@@ -85,13 +85,11 @@ def write_atomic(path: str | Path, *pieces: str) -> None:
     except FileNotFoundError:
         regular = True
     if not regular:
-        with open(path, "w", encoding="utf-8") as out:
+        with open(path, "wb") as out:
             out.writelines(pieces)
         return
     path = Path(path).resolve()
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    handle = tempfile.NamedTemporaryFile("wb", dir=path.parent, prefix=f".{path.name}.", delete=False)
     try:
         with handle:
             handle.writelines(pieces)
@@ -104,25 +102,25 @@ def write_atomic(path: str | Path, *pieces: str) -> None:
 class World:
     """Aggregate root; all module objects share its audit log and clock.
 
-    A loaded world keeps the working text of its file, whatever the file's form,
-    and decodes each store from it on first use, alone: the stores a store
-    holds are decoded only when it takes them (``codec.Holder``).
+    A loaded world keeps the UTF-8 working text of its file as bytes, whatever
+    the file's form, and decodes each store from its bytes on first use, alone:
+    the stores a store holds are decoded only when it takes them (``codec.Holder``).
 
     Nothing the world reaches refers back to it but weakly (the audit's clock,
     each holder), so it is freed as soon as its last reference goes, without
     waiting for the cyclic collector.
     """
 
-    def __init__(self, config: ReconcileConfig, secrets: SecretSource, text: str = "",
+    def __init__(self, config: ReconcileConfig, secrets: SecretSource, data: bytes = b"",
                  spans: dict[str, tuple[int, int]] | None = None) -> None:
         self.clock = 0
         self.config = config
         world = weakref.proxy(self)
         self.audit = AuditLog(lambda: world.clock)
         self.secrets = secrets
-        # Each store's text as last read or written, as (text, start, stop): one not
+        # Each store's bytes as last read or written, as (bytes, start, stop): one not
         # decoded yet, or an audited one, unless ``audit.mutated`` names it.
-        self._loaded = {name: (text, *spans[key]) for key, name in _NAMES.items()} if spans else {}
+        self._loaded = {name: (data, *spans[key]) for key, name in _NAMES.items()} if spans else {}
         for name, (_, make) in _STORES.items():
             if name not in self._loaded:
                 setattr(self, name, make(self))
@@ -190,45 +188,47 @@ class World:
 
     # -- files ---------------------------------------------------------------
 
-    def save(self, path: str | Path) -> list[str]:
+    def save(self, path: str | Path) -> list[bytes]:
         """Write the working file; return the audit lines it encoded, for the sidecar.
 
         A store not decoded, a directory, cloud or vault with no mutation since its
-        text was last read or written, and the loaded audit lines go back as they were.
+        bytes were last read or written, and the loaded audit lines go back as views of them.
         """
         lines = self.audit.lines()
-        pieces: list[str] = []
+        pieces: list[bytes | memoryview] = []
         for key in _KEYS:
             name = _NAMES.get(key)
-            pieces.append(f',\n"{key}":' if pieces else f'{{"{key}":')
+            pieces.append((f',\n"{key}":' if pieces else f'{{"{key}":').encode())
             if key == "audit":
                 pieces += self.audit.text(lines)
             elif name in self._loaded and name not in self.audit.mutated:
-                text, start, stop = self._loaded[name]
-                pieces.append(text[start:stop])
+                data, start, stop = self._loaded[name]
+                pieces.append(memoryview(data)[start:stop])
             else:
-                pieces.append(compact_json(self._section(key)))
+                pieces.append(compact_json(self._section(key)).encode())
                 if name in self._loaded:
                     self._loaded[name] = (pieces[-1], 0, len(pieces[-1]))
-        write_atomic(path, *pieces, "}\n")
+        write_atomic(path, *pieces, b"}\n")
         self.audit.mutated.clear()
         return lines
 
     @classmethod
     def load(cls, path: str | Path) -> "World":
         try:
-            return cls.loads(Path(path).read_text(encoding="utf-8"))
+            return cls.loads(Path(path).read_bytes())
         except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaError(f"state file is not valid JSON: {exc}") from exc
 
     @classmethod
-    def loads(cls, text: str) -> "World":
-        """The world of a state file's text, in any form: each store decodes on first use."""
-        spans = _spans(text)
+    def loads(cls, data: bytes) -> "World":
+        """The world of a state file's UTF-8 bytes, in any form: each store decodes on first use."""
+        spans = _spans(data)
         if spans is None:  # another form (an export, an older working file): its working text
-            text = working_text(json.loads(text))
-            spans = _spans(text)
-        head = {key: parse_at(text, *spans[key]) for key in _HEAD}
+            data = working_text(json.loads(str(data, "utf-8")))  # bytes would take UTF-16 too
+            spans = _spans(data)
+        elif not data.isascii():
+            str(data, "utf-8")  # only to check it: each section decodes alone, on first use
+        head = {key: parse_at(data, *spans[key]) for key in _HEAD}
         if head["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported schema_version {head['schema_version']!r} "
@@ -240,38 +240,38 @@ class World:
                 return loader(head[section])
 
         config = load("config", lambda d: decode(ReconcileConfig, d))
-        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)), text, spans)
+        world = cls(config, load("secrets", lambda d: decode(SecretSource, d)), data, spans)
         world.clock = load("clock", lambda value: counter(value, "clock"))
-        world.audit.load_lines(text, *spans["audit"])
+        world.audit.load_lines(data, *spans["audit"])
         return world
 
 
-def _spans(text: str) -> dict[str, tuple[int, int]] | None:
-    """Each section's (start, stop) in a working file, found without a parse; None for another text.
+def _spans(data: bytes) -> dict[str, tuple[int, int]] | None:
+    """Each section's byte (start, stop) in a working file, found without a parse; None for another text.
 
     A working file is ``{`` + ``",\\n".join('"key":' + compact value) + ``}\\n``, each key
     once, in order.  Compact JSON holds no raw newline, so the sections after the
     audit are found from the end, a line each; the audit is ``[]`` or an event a line.
     """
-    head = '{"audit":'
-    if not text.startswith(head) or not text.endswith("}\n"):
+    head = b'{"audit":'
+    if not data.startswith(head) or not data.endswith(b"}\n"):
         return None
-    spans, stop = {}, len(text) - 2
+    spans, stop = {}, len(data) - 2
     for key in reversed(_KEYS[1:]):
-        line = f'\n"{key}":'
-        at = text.rfind("\n", 0, stop)
-        if at < 1 or text[at - 1] != "," or not text.startswith(line, at):
+        line = f',\n"{key}":'.encode()
+        at = data.rfind(b"\n", 0, stop)
+        if at < 1 or not data.startswith(line, at - 1):
             return None
-        spans[key], stop = (at + len(line), stop), at - 1
-    empty = stop == len(head) + 2 and text.startswith("[]", len(head))
-    if not empty and not (text.startswith("[\n", len(head)) and text[stop - 1] == "]"):
+        spans[key], stop = (at - 1 + len(line), stop), at - 1
+    empty = stop == len(head) + 2 and data.startswith(b"[]", len(head))
+    if not empty and not (data.startswith(b"[\n", len(head)) and data.endswith(b"]", 0, stop)):
         return None
     spans["audit"] = (len(head), stop)
     return spans
 
 
-def working_text(data) -> str:
-    """The state document ``data`` as a working file's text."""
+def working_text(data) -> bytes:
+    """The state document ``data`` as a working file's UTF-8 text."""
     if not isinstance(data, dict):
         raise SchemaError("state document must be a JSON object (at /)")
     for key in _KEYS:
@@ -282,5 +282,5 @@ def working_text(data) -> str:
         with malformed("audit"):
             raise TypeError(f"the audit must be a list, not {type(events).__name__}")
     audit = "[\n" + ",\n".join(map(compact_json, events)) + "]" if events else "[]"
-    return "{" + ",\n".join(
-        f'"{key}":{audit if key == "audit" else compact_json(data[key])}' for key in _KEYS) + "}\n"
+    return ("{" + ",\n".join(
+        f'"{key}":{audit if key == "audit" else compact_json(data[key])}' for key in _KEYS) + "}\n").encode()

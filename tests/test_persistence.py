@@ -455,7 +455,7 @@ def saves(monkeypatch) -> list[Path]:
 
     def counted(world, path):
         paths.append(Path(path))
-        real(world, path)
+        return real(world, path)
 
     monkeypatch.setattr(World, "save", counted)
     return paths
@@ -976,3 +976,95 @@ def test_a_holder_whose_world_is_gone_says_so(walked, no_collector):
     vault = World.load(walked).vault
     with pytest.raises(ReferenceError):
         vault.store_key(POSTS_MIRROR, "posts-analyze", "0" * 32)
+
+
+# -- the working file is read and written as bytes ------------------------------------
+
+
+def test_a_byte_that_is_not_utf8_in_any_section_fails_the_load(walked, capsys):
+    data = walked.read_bytes()
+    at = data.index(b'\n"vault":{') + len(b'\n"vault":{"')
+    walked.write_bytes(data[:at] + b"\xff" + data[at:])
+    before = both_files(walked)
+    with pytest.raises(UnicodeDecodeError) as info:
+        walked.read_bytes().decode("utf-8")
+    assert "'utf-8' codec can't decode byte 0xff" in str(info.value)
+    capsys.readouterr()
+    assert main(["clock", "show"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: SchemaError: state file is not valid JSON: {info.value}\n")
+    assert both_files(walked) == before
+
+
+def test_a_file_with_a_utf16_byte_order_mark_is_not_taken_for_json(walked, capsys):
+    walked.write_bytes(b"\xff\xfe{\x00}\x00")  # {} in UTF-16, which json.loads(bytes) would take
+    capsys.readouterr()
+    assert main(["clock", "show"]) == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: state file is not valid JSON: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+def test_a_home_that_is_not_ascii_survives_a_write_that_keeps_its_line(statefile, capsys):
+    home = "/dc1/c1/user/bob/données"
+    assert main(["dir", "add-user", "bob", "--kind", "human", "--hdfs-home", home]) == 0
+    assert main(["clock", "advance", "1m"]) == 0  # writes the directory line back as loaded
+    capsys.readouterr()
+    assert main(["dir", "show", "bob"]) == 0
+    assert f" hdfs_home={home} " in capsys.readouterr().out
+    assert holds_the_world(statefile)
+
+
+def refused_read(caller: str) -> list[str]:
+    """A vault read that is refused, and audited as a decision by ``caller``."""
+    return ["vault", "read", "--as", caller, POSTS_MIRROR]
+
+
+def test_audit_lines_that_are_not_ascii_are_read_and_copied_by_byte_offset(walked, capsys):
+    assert main(refused_read("équipe")) == 1
+    assert main(refused_read("ünf")) == 1
+    assert main(["clock", "advance", "1m"]) == 0
+    capsys.readouterr()
+    assert main(["audit", "tail", "-n", "2"]) == 0
+    assert [line.split(" actor=")[1].split()[0] for line in capsys.readouterr().out.splitlines()] == [
+        "équipe", "ünf"]
+    Path(f"{walked}.audit.jsonl").unlink()  # the next write copies every loaded line to it
+    assert main(["dir", "add-group", "after-the-copy"]) == 0
+    assert holds_the_world(walked)
+
+
+def test_a_malformed_section_reports_its_error_at_its_place_in_the_whole_text(walked, capsys):
+    assert main(refused_read("équipe")) == 1  # two bytes, one character, before the cloud line
+    replace_line(walked, '"cloud":', '"cloud":{"nodes":[oops]},')
+    text = walked.read_text(encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.JSONDecoder().raw_decode(text, text.index('\n"cloud":') + len('\n"cloud":'))
+    capsys.readouterr()
+    assert main(["cloud", "show", "org"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: SchemaError: malformed section (at /cloud): {info.value}\n")
+
+
+@pytest.fixture
+def counts(monkeypatch) -> list[audit.AuditLog]:
+    """The log of each call to ``AuditLog._count``, the one place that counts loaded audit lines."""
+    calls: list[audit.AuditLog] = []
+    real = audit.AuditLog._count
+
+    def counted(log):
+        calls.append(log)
+        return real(log)
+
+    monkeypatch.setattr(audit.AuditLog, "_count", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["clock", "show"], ["dir", "show", "helen"],
+                                  ["cloud", "show", "org"], ["cloud", "tree"], ["report", "last"]],
+                         ids=" ".join)
+def test_a_command_that_neither_reads_nor_writes_the_audit_counts_none_of_it(
+        walked, counts, argv, capsys):
+    assert main(argv) == 0
+    assert counts == []
+    assert main(["dir", "add-group", "counted"]) == 0  # a write counts them
+    assert counts
