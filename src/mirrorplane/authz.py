@@ -210,6 +210,7 @@ class AuthzEngine(Holder):
 
     def token_status(self, token: Token) -> DecisionReason | None:
         """None if the token is usable, else the Deny reason."""
+        self.take_stores()
         if not self._account_is_active(token.subject):
             return DecisionReason.DISABLED_ACCOUNT
         key = self.vault.find_version(token.minted_from)

@@ -73,31 +73,26 @@ def parse_at(data: bytes, start: int, stop: int):
 class Holder:
     """A store that holds the stores of its world named in ``HOLDS``, as plain attributes.
 
-    A loaded world decodes a store on first use, so a holder takes a held store
-    when it is made only if the world has decoded it (a world built in memory
-    has them all).  Every call that may change the world takes them all before
-    its first change, so a malformed one fails before anything changed.  A lazy
-    class attribute (a descriptor, ``__getattr__``) would slow every read on 3.11.
+    A world makes, and decodes, each store on first use, so a holder takes no
+    store when it is made: every public call that reads a held store takes them
+    all first, so a malformed one fails before anything changed.  A lazy class
+    attribute (a descriptor, ``__getattr__``) would slow every read on 3.11.
     The world is held weakly, so that it is in no reference cycle; a holder
-    that takes a store after its world is gone raises ``ReferenceError``.
+    that takes its stores after its world is gone raises ``ReferenceError``.
     """
 
     HOLDS: tuple[str, ...] = ()
 
     def __init__(self, world) -> None:
         self._world = weakref.proxy(world)
-        self._taken = False  # every held store taken
-        self.take_stores(decode=False)
+        self._taken = False
 
-    def take_stores(self, decode: bool = True) -> None:
-        """Take each held store from the world; with ``decode``, decode those not decoded yet."""
-        if self._taken:
-            return
-        decoded = vars(self._world)
-        for name in self.HOLDS:
-            if decode or name in decoded:
+    def take_stores(self) -> None:
+        """Take each held store from the world, which makes or decodes it on first use."""
+        if not self._taken:
+            for name in self.HOLDS:
                 setattr(self, name, getattr(self._world, name))
-        self._taken = all(name in decoded for name in self.HOLDS)
+            self._taken = True
 
 
 def encode(value):

@@ -197,6 +197,7 @@ class Reconciler(Holder):
         under one folder, so placement never fails on quota.  The probe
         resumes at the base's cursor: every project below it was full.
         """
+        self.take_stores()
         key = folder, base = self.placement_base(record)
         suffix = self._cursor.get(key, 1)
         while True:

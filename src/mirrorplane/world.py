@@ -32,9 +32,8 @@ ORGANIZATION_ID = "org"
 
 # Each store: World attribute -> (its section of the state document, how a
 # world makes it empty).  A store that holds others takes the world, and
-# takes each of them from it only when it may need it (``codec.Holder``), so
-# decoding it decodes no other store.  A store comes after the stores it holds,
-# so that in a world built in memory a holder takes them when it is made.
+# takes each of them from it only in a call that reads them (``codec.Holder``),
+# so making or decoding it makes or decodes no other store.
 _STORES = {
     "directory": ("directory", lambda w: Directory(w.audit)),
     "cloud": ("cloud", lambda w: Cloud(w.audit, default_quota=w.config.quota_default)),
@@ -102,9 +101,9 @@ def write_atomic(path: str | Path, *pieces: bytes | memoryview) -> None:
 class World:
     """Aggregate root; all module objects share its audit log and clock.
 
-    A loaded world keeps the UTF-8 working text of its file as bytes, whatever
-    the file's form, and decodes each store from its bytes on first use, alone:
-    the stores a store holds are decoded only when it takes them (``codec.Holder``).
+    Every world makes each store on first use, alone.  A loaded world, which
+    keeps the UTF-8 working text of its file as bytes whatever the file's form,
+    decodes it then: a holder's stores are made when it takes them (``codec.Holder``).
 
     Nothing the world reaches refers back to it but weakly (the audit's clock,
     each holder), so it is freed as soon as its last reference goes, without
@@ -121,22 +120,19 @@ class World:
         # Each store's bytes as last read or written, as (bytes, start, stop): one not
         # decoded yet, or an audited one, unless ``audit.mutated`` names it.
         self._loaded = {name: (data, *spans[key]) for key, name in _NAMES.items()} if spans else {}
-        for name, (_, make) in _STORES.items():
-            if name not in self._loaded:
-                setattr(self, name, make(self))
 
     def __getattr__(self, name: str):
-        # Runs only for an attribute not set: a store decoded on first use.
-        loaded = self.__dict__.get("_loaded", {}).get(name)
-        if loaded is None:
+        # Runs only for an attribute not set: a store made on first use, and decoded if loaded.
+        if name not in _STORES:
             raise AttributeError(f"'World' object has no attribute {name!r}")
         key, make = _STORES[name]
         store = make(self)
-        with malformed(key):
-            store.load_state(parse_at(*loaded))
+        if name in self._loaded:
+            with malformed(key):
+                store.load_state(parse_at(*self._loaded[name]))
+            if name not in _AUDITED:  # it may change without an event
+                del self._loaded[name]
         setattr(self, name, store)
-        if name not in _AUDITED:  # it may change without an event
-            del self._loaded[name]
         return store
 
     def decode(self) -> "World":

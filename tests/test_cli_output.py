@@ -473,6 +473,69 @@ def test_only_a_present_reader_group_grants_read(walked, capsys, tmp_path):
     )
 
 
+def test_a_disabled_account_with_an_active_key_mints_no_token(walked, capsys, tmp_path):
+    def disable(data):
+        for account in data["cloud"]["accounts"]:
+            if account["email"] == POSTS_MIRROR:
+                account["status"] = "disabled"
+
+    assert reimport(tmp_path, disable) == 0
+    capsys.readouterr()
+    assert run("authz", "token", "--as", "posts-analyze", POSTS_MIRROR) == 1
+    assert capsys.readouterr().err == (
+        f"error: AuthFailure: account '{POSTS_MIRROR}' is not active\n")
+
+
+def test_a_token_minted_from_a_key_its_entry_does_not_hold_is_invalid(walked, capsys, tmp_path):
+    def repoint(data):
+        for token in data["tokens"]["tokens"]:
+            if token["token_id"] == "tok-000001":
+                token["minted_from"] = f"{POSTS_MIRROR}#v9"
+
+    assert reimport(tmp_path, repoint) == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "authz", "check", "tok-000001", POSTS_BUCKET, "read") == (
+        "DENY InvalidToken\n"
+    )
+
+
+def test_a_source_group_member_with_no_principal_fails_only_its_step(walked, capsys, tmp_path):
+    def plant(data):
+        for group in data["directory"]["groups"]:
+            if group["name"] == "mirror-account-users":
+                group["members"].append("ghost")
+
+    assert reimport(tmp_path, plant) == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "reconcile", "--once") == (
+        "tick 2 at t=0\n"
+        "  created: 0\n"
+        "  rotated: 0\n"
+        "  actas_granted: 0\n"
+        "  decommissioned: 0\n"
+        "  rejected: 0\n"
+        "  errors: 1\n"
+        "    ghost: UnknownPrincipal: no principal named 'ghost'\n"
+    )
+
+
+@pytest.mark.parametrize("principal", ["", "posts.analyze"], ids=["empty", "dotted"])
+def test_verify_refuses_a_bucket_id_of_an_empty_or_dotted_name(walked, capsys, tmp_path, principal):
+    bucket = f"user.{principal}.dp.domain"
+
+    def rename(data):
+        for mapping in data["onboarder"]["mappings"]:
+            if mapping["principal"] == "posts-analyze":
+                mapping.update(principal=principal, bucket_id=bucket)
+
+    assert reimport(tmp_path, rename) == 0
+    capsys.readouterr()
+    assert stdout_of(capsys, "verify", code=2) == (
+        f"MappingViolation [{bucket}]: bucket id does not round-trip to {principal!r}\n"
+        f"MappingViolation [{bucket}]: bucket node missing\n"
+    )
+
+
 def test_set_quota_of_an_unknown_project_is_unknown_node(walked, capsys):
     assert run("cloud", "set-quota", "nope", "5") == 1
     assert capsys.readouterr().err == "error: UnknownNode: no project 'nope'\n"

@@ -51,6 +51,21 @@ def test_illegal_parents(cloud, kind, parent):
         cloud.create_node(kind, "x", parent)
 
 
+@pytest.mark.parametrize(("kind", "parent", "message"), [
+    (NodeKind.ORGANIZATION, "org", "organization is the root and takes no parent"),
+    (NodeKind.FOLDER, None, "folder requires a parent"),
+])
+def test_only_the_organization_has_no_parent(cloud, kind, parent, message):
+    with pytest.raises(IllegalParent, match=f"^{message}$"):
+        cloud.create_node(kind, "x", parent)
+
+
+def test_a_service_account_lives_only_in_a_project(cloud):
+    with pytest.raises(UnknownNode, match="^'IAMSTORE' is not a project$"):
+        cloud.create_service_account("IAMSTORE", "helen-mirror", "helen")
+    assert not cloud.accounts()
+
+
 def test_duplicate_ids_rejected(cloud):
     with pytest.raises(DuplicateId):
         cloud.create_node(NodeKind.FOLDER, "IAMSTORE", "org")

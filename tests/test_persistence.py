@@ -14,16 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from mirrorplane import AccessAction, audit, cli
+from mirrorplane import AccessAction, DecisionReason, PrincipalKind, audit, cli
 from mirrorplane.cli import Session, dispatch, main
+from mirrorplane.cloud import AccountStatus
 from mirrorplane.codec import encode
 from mirrorplane.directory import Directory
 from mirrorplane.errors import SchemaError
 from mirrorplane.onboarder import cloud_reader_group
-from mirrorplane.world import _STORES, World, compact_json
+from mirrorplane.world import _STORES, World, _spans, compact_json
 
 import oracles
-from conftest import mirror
+from conftest import SAP, mirror
 
 
 @pytest.fixture
@@ -671,6 +672,20 @@ def test_a_malformed_section_fails_only_the_commands_that_touch_it(walked, capsy
     assert both_files(walked) == before
 
 
+def test_a_value_that_does_not_end_where_its_line_ends_is_not_json(walked, capsys):
+    text = walked.read_text(encoding="utf-8")
+    clock = text.index('\n"clock":') + 1  # the clock line's first byte
+    line = text.count("\n", 0, clock) + 1
+    replace_line(walked, '"clock":', '"clock":0 6,')
+    before = both_files(walked)
+    capsys.readouterr()
+    assert main(["clock", "show"]) == 1
+    assert capsys.readouterr().err == (
+        "error: SchemaError: state file is not valid JSON: Value does not end where its line "
+        f"ends: line {line} column 10 (char {clock + 9})\n")
+    assert both_files(walked) == before
+
+
 POSTS_MIRROR = mirror("posts-analyze")
 POSTS_BUCKET = "user.posts-analyze.dp.domain"
 
@@ -804,6 +819,54 @@ def test_each_command_decodes_only_the_stores_it_uses(walked_once, tmp_path, arg
     assert {name for name in _STORES if name in vars(session.world)} == stores
 
 
+def provision_a_new_user(world: World) -> str:
+    """Give a new user a mirror without the onboarder, then make the onboarder's first call."""
+    world.directory.add_principal("ivan", PrincipalKind.HEADLESS, "/dc1/cluster1/user/ivan")
+    world.directory.join_group("mirror-account-users", "ivan")
+    world.reconciler.reconcile_tick()
+    return world.onboarder.provision_bucket("ivan").bucket_id
+
+
+# Each public holder call that reads a held store, and what it gives as its holder's first call.
+FIRST_CALLS = {
+    "Reconciler.select_project": (
+        lambda world: world.reconciler.select_project(world.directory.principal("helen")), SAP),
+    "Reconciler.decommission": (
+        lambda world: world.reconciler.decommission("helen")
+        or world.cloud.account(mirror("helen")).status, AccountStatus.DISABLED),
+    "Reconciler.reconcile_tick": (
+        lambda world: world.reconciler.reconcile_tick().has_changes, False),
+    "AuthzEngine.token_status": (
+        lambda world: world.authz.token_status(world.tokens.get("tok-000001")), None),
+    "AuthzEngine.authenticate": (
+        lambda world: world.authz.authenticate("posts-analyze", POSTS_MIRROR).token_id,
+        "tok-000003"),
+    "AuthzEngine.impersonate": (
+        lambda world: world.authz.impersonate("workspace:helen", mirror("helen")).via_actas,
+        "helen"),
+    "AuthzEngine.authorize": (
+        lambda world: world.authz.authorize("tok-000002", POSTS_BUCKET, AccessAction.READ).reason,
+        DecisionReason.READER_GROUP),
+    "AuthzEngine.submit_job": (
+        lambda world: world.authz.submit_job(
+            "posts-analyze", POSTS_MIRROR, [POSTS_BUCKET], [AccessAction.WRITE]).results,
+        [{"bucket": POSTS_BUCKET, "action": "write", "decision": "allow", "reason": "Owner"}]),
+    "Onboarder.provision_bucket": (provision_a_new_user, "user.ivan.dp.domain"),
+    "Onboarder.sync_reader_groups": (
+        lambda world: world.onboarder.sync_reader_groups().has_changes, False),
+    "Vault.store_key": (
+        lambda world: world.vault.store_key(POSTS_MIRROR, "posts-analyze", "0" * 32).key_id,
+        f"{POSTS_MIRROR}#v2"),
+}
+
+
+@pytest.mark.parametrize("call", FIRST_CALLS)
+def test_a_holder_takes_its_stores_in_each_call_that_reads_them(walked_once, call):
+    world = World.load(walked_once)  # kept here: a holder refers to its world weakly
+    act, expected = FIRST_CALLS[call]
+    assert act(world) == expected
+
+
 def test_a_commit_encodes_each_new_event_once(walked, monkeypatch):
     encoded = []
     real = audit.compact_json
@@ -841,6 +904,26 @@ def test_another_form_loads_whole_and_the_next_write_rewrites_it_one_section_per
     assert holds_the_world(walked)
 
 
+def test_an_audit_on_one_line_loads_as_another_form(walked, tmp_path, capsys):
+    working = tmp_path / "working.json"
+    shutil.copy(walked, working)
+    shutil.copy(f"{walked}.audit.jsonl", f"{working}.audit.jsonl")
+    text = walked.read_text(encoding="utf-8")
+    start, stop = len('{"audit":['), text.index('],\n"authz":')
+    walked.write_text(text[:start] + text[start + 1:stop].replace(",\n", ",") + text[stop:],
+                      encoding="utf-8")
+    assert _spans(walked.read_bytes()) is None  # each other section is still on a line of its own
+    before = both_files(walked)
+    capsys.readouterr()
+    assert main(["audit", "tail", "-n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("#36 ")
+    assert both_files(walked) == before
+
+    for state in (walked, working):
+        assert main(["--state", str(state), "dir", "add-group", "after-the-rewrite"]) == 0
+    assert both_files(walked)[1:] == both_files(working)[1:]
+
+
 # -- a store that did not change is written back as loaded ---------------------------
 
 
@@ -871,6 +954,17 @@ def test_a_changed_store_is_encoded_once_by_the_saves_of_one_scenario(
     for line in lines:
         assert main(["--state", str(alone), *line.split()]) == 0
     assert both_files(walked)[1:] == both_files(alone)[1:]
+    assert holds_the_world(walked)
+
+
+def test_a_tick_whose_only_vault_change_is_a_revocation_saves_it(walked):
+    assert main(["dir", "remove", "helen"]) == 0
+    assert main(["reconcile", "--once"]) == 0  # decommissions helen's mirror
+    world = World.load(walked)
+    assert world.vault.entry(mirror("helen")).versions[0].state.value == "invalid"
+    vault_events = [(event.action, event.target) for event in world.audit
+                    if event.action.startswith("vault.")]
+    assert vault_events[-1] == ("vault.revoke_key", f"{mirror('helen')}#v1")
     assert holds_the_world(walked)
 
 
