@@ -37,19 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file under src/mirrorplane, text, replacement, the tier-1 test files that must
 # kill it, what the fault is)
 MUTANTS = [
-    # -- a store's first decode, the working text and the write-back rule
+    # -- a store's first decode and the working text
     ("getattr-no-malformed", "world.py",
      "            with malformed(key):\n                store.load_state(",
      "            if key:\n                store.load_state(",
      "test_persistence.py",
      "a store that fails to decode raises its own error, not a SchemaError at its section"),
-    ("getattr-keeps-small-store-text", "world.py",
-     "            if name not in _AUDITED:  # it may change without an event\n"
-     "                del self._loaded[name]",
-     "            if name not in _AUDITED:  # it may change without an event\n"
-     "                pass",
-     "test_persistence.py",
-     "a decoded onboarder, tokens, reconciler or authz is written back as loaded"),
     ("getattr-no-setattr", "world.py",
      "        setattr(self, name, store)\n",
      "",
@@ -80,21 +73,6 @@ MUTANTS = [
      "    if False and not (data.startswith(",
      "test_persistence.py",
      "an audit on one line is read as a working file's audit, one event a line"),
-    ("save-writes-back-mutated", "world.py",
-     "elif name in self._loaded and name not in self.audit.mutated:",
-     "elif name in self._loaded:",
-     "test_persistence.py",
-     "a changed directory, cloud or vault is written back as loaded"),
-    ("save-keeps-no-written-text", "world.py",
-     "                if name in self._loaded:\n                    self._loaded[name] =",
-     "                if False:\n                    self._loaded[name] =",
-     "test_persistence.py",
-     "after a save, the next save writes back the text loaded before it"),
-    ("save-keeps-mutated", "world.py",
-     "        self.audit.mutated.clear()\n",
-     "",
-     "test_persistence.py",
-     "every save re-encodes each store changed since the load"),
     ("loads-no-utf8-check", "world.py",
      "        elif not data.isascii():\n            str(data, ",
      "        elif False:\n            str(data, ",
@@ -115,6 +93,52 @@ MUTANTS = [
      "        end = max(end, 0)\n",
      "test_persistence.py",
      "a section that does not parse reports its error at a place in its own line, not in the file"),
+    # -- the save rule: which stores a save encodes, and the world's change mark
+    ("save-changed-since-load", "world.py",
+     "for event in self.audit.since_load()[self._written:]",
+     "for event in self.audit.since_load()",
+     "test_persistence.py",
+     "every save re-encodes each audited store changed since the load, not since the last save"),
+    ("save-written-not-advanced", "world.py",
+     "        self._written = self.audit.emitted()\n",
+     "",
+     "test_persistence.py",
+     "a save does not advance its count of written events, so the next re-encodes what it wrote"),
+    ("save-writes-back-decoded-small-store", "world.py",
+     "(name not in vars(self) or name in _AUDITED and name not in changed)",
+     "(name not in vars(self) or name not in changed)",
+     "test_cli_output.py",
+     "a decoded onboarder, tokens, reconciler or authz is written back as loaded"),
+    ("save-encodes-undecoded-small-store", "world.py",
+     "(name not in vars(self) or name in _AUDITED and name not in changed)",
+     "(name in _AUDITED and name not in changed)",
+     "test_persistence.py",
+     "an onboarder, tokens, reconciler or authz never decoded is decoded and encoded by a save"),
+    ("save-changed-any-event", "world.py",
+     "                   if event.category is Category.MUTATION}",
+     "                   }",
+     "test_persistence.py",
+     "a decision or control event names a store changed, so a vault read re-encodes the vault"),
+    ("mark-no-events", "world.py",
+     "        return self.audit.emitted(), self.clock,",
+     "        return 0, self.clock,",
+     "test_cli_output.py",
+     "a command whose only change is an audit event is not saved"),
+    ("mark-no-clock", "world.py",
+     "self.audit.emitted(), self.clock, getattr(",
+     "self.audit.emitted(), 0, getattr(",
+     "test_cli_output.py",
+     "a clock advance is not saved"),
+    ("mark-no-ticks", "world.py",
+     'getattr(vars(self).get("reconciler"), "ticks_run", 0)',
+     "0",
+     "test_persistence.py",
+     "a tick that changes nothing else is not saved"),
+    ("save-keeps-no-written-text", "world.py",
+     "                if name in self._loaded and name in _AUDITED:",
+     "                if False:",
+     "test_persistence.py",
+     "after a save, the next save writes back the text loaded before it"),
     # -- the audit's loaded lines and its count
     ("load-lines-unchecked", "audit.py",
      '        self._unchecked = stop - start > len(b"[]")',
@@ -151,12 +175,7 @@ MUTANTS = [
      "        return len(self)",
      "test_persistence.py",
      "a command's mark counts every loaded audit line, so a read-only command pays for the count"),
-    ("mutation-no-record", "audit.py",
-     '        self.mutated.add(action.partition(".")[0])\n',
-     "",
-     "test_persistence.py",
-     "no store is named changed by its mutations"),
-    # -- one mutation event dropped from each audited store
+    # -- every audit emission, dropped
     ("leave-group-no-event", "directory.py",
      '            self._audit.mutation("directory.leave_group", f"{group_name}:{principal}")',
      "            pass",
@@ -172,6 +191,91 @@ MUTANTS = [
      "                pass",
      "test_persistence.py",
      "a key is revoked with no event, so a save writes back the vault as loaded"),
+    ("add-principal-no-event", "directory.py",
+     '        self._audit.mutation("directory.add_principal", name)',
+     "        pass",
+     "test_acceptance.py",
+     "a principal is added with no event"),
+    ("add-group-no-event", "directory.py",
+     '        self._audit.mutation("directory.add_group", name)',
+     "        pass",
+     "test_audit.py",
+     "a group is added with no event"),
+    ("join-group-no-event", "directory.py",
+     '            self._audit.mutation("directory.join_group", f"{group_name}:{principal}")',
+     "            pass",
+     "test_acceptance.py",
+     "a member joins a group with no event"),
+    ("remove-principal-no-event", "directory.py",
+     '        self._audit.mutation("directory.remove_principal", name)',
+     "        pass",
+     "test_cli_output.py",
+     "a principal is removed with no event"),
+    ("create-node-no-event", "cloud.py",
+     '        self._audit.mutation(f"cloud.create_node.{kind.value}", node_id)',
+     "        pass",
+     "test_cli_output.py",
+     "a node is created with no event"),
+    ("create-account-no-event", "cloud.py",
+     '        self._audit.mutation("cloud.create_service_account", email)',
+     "        pass",
+     "test_reconciler.py",
+     "a service account is created with no event"),
+    ("bind-role-no-event", "cloud.py",
+     '        self._audit.mutation(f"cloud.bind_role.{role.value}", f"{node_id}:{principal}")',
+     "        pass",
+     "test_acceptance.py",
+     "a role is bound with no event"),
+    ("disable-account-no-event", "cloud.py",
+     '        self._audit.mutation("cloud.disable_service_account", email)',
+     "        pass",
+     "test_reconciler.py",
+     "a service account is disabled with no event"),
+    ("set-quota-no-event", "cloud.py",
+     '        self._audit.mutation("cloud.set_quota", f"{project}:{max_service_accounts}")',
+     "        pass",
+     "test_persistence.py",
+     "a quota is set with no event"),
+    ("store-key-no-event", "vault.py",
+     '        self._audit.mutation("vault.store_key", version.key_id)',
+     "        pass",
+     "test_reconciler.py",
+     "a key is stored with no event"),
+    ("expire-key-no-event", "vault.py",
+     '                    self._audit.mutation("vault.expire_key", version.key_id)',
+     "                    pass",
+     "test_reconciler.py",
+     "a key expires with no event"),
+    ("attempt-no-denial", "audit.py",
+     '            self.decision(actor, action, target, allowed=False)',
+     "            pass",
+     "test_audit.py",
+     "a denied access attempt is not audited"),
+    ("attempt-no-success", "audit.py",
+     '        self.decision(actor, action, attempt.target, allowed=True)',
+     "        pass",
+     "test_audit.py",
+     "a successful access attempt is not audited"),
+    ("authorize-no-decision", "authz.py",
+     '        self._audit.decision(actor, f"authorize.{action.value}", bucket.id, decision.allowed)',
+     "        pass",
+     "test_audit.py",
+     "an authorization decision is not audited"),
+    ("reconcile-no-abort", "reconciler.py",
+     '            self._audit.control("reconcile.abort", SOURCE_OF_TRUTH_GROUP)',
+     "            pass",
+     "test_reconciler.py",
+     "a tick aborted for a missing source group is not audited"),
+    ("reconcile-no-reject", "reconciler.py",
+     '            self._audit.control("reconcile.reject_underscore", principal)',
+     "            pass",
+     "test_reconciler.py",
+     "a principal rejected for its name is not audited"),
+    ("reconcile-no-error", "reconciler.py",
+     '            self._audit.control("reconcile.error", principal)',
+     "            pass",
+     "test_reconciler.py",
+     "a principal whose mirror failed is not audited"),
     # -- the derived indexes, rebuilt by load_state and never serialized
     ("load-no-active-index", "cloud.py",
      "                self._active.setdefault(acct.source_principal, set()).add(acct.email)",

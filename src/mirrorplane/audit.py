@@ -79,11 +79,7 @@ class AuditLog:
     none); ``tail(n)`` parses the last n, and the first iteration or query
     parses and decodes them all.  Until then ``_events`` holds only the events
     emitted since the load, after the ``_offset`` undecoded ones.  A save writes
-    the ``_covered`` loaded lines back as they are and encodes only new events.
-
-    ``mutated`` names each store a mutation was emitted for since the last save
-    ("directory", "cloud" or "vault", the action's prefix), so that a save
-    writes a store with none back as it was last read or written.
+    the ``_covered`` loaded lines back as they are and encodes the events ``since_load``.
     """
 
     def __init__(self, now: Callable[[], int]) -> None:
@@ -93,7 +89,6 @@ class AuditLog:
         # The loaded array, _data[_start:_stop], holds _covered lines (None until counted).
         self._data, self._start, self._stop, self._covered = b"[]", 0, 2, 0
         self._unchecked = False  # loaded lines whose last event's seq is not checked yet
-        self.mutated: set[str] = set()
         self._tick_id: int | None = None
         self._job_id: str | None = None
 
@@ -127,7 +122,6 @@ class AuditLog:
 
     def mutation(self, action: str, target: str) -> AuditEvent:
         """A successful control-plane change to directory, cloud or vault state."""
-        self.mutated.add(action.partition(".")[0])
         return self.emit(CONTROL_PLANE, action, target, Outcome.SUCCESS, Category.MUTATION)
 
     def decision(self, actor: str, action: str, target: str, allowed: bool) -> AuditEvent:
@@ -161,6 +155,10 @@ class AuditLog:
     def emitted(self) -> int:
         """How many events were emitted since the load (all of them in a log built in memory)."""
         return len(self._events) - (self._covered or 0) + self._offset
+
+    def since_load(self) -> list[AuditEvent]:
+        """The events emitted since the load, in order (all of them in a log built in memory)."""
+        return self._events[(self._covered or 0) - self._offset:]
 
     def __iter__(self) -> Iterator[AuditEvent]:
         return iter(self.decoded())
@@ -239,7 +237,7 @@ class AuditLog:
 
     def lines(self) -> list[bytes]:
         """Each event after the loaded lines, encoded as one compact UTF-8 line."""
-        return [compact_json(encode(e)).encode() for e in self._events[(self._covered or 0) - self._offset:]]
+        return [compact_json(encode(e)).encode() for e in self.since_load()]
 
     def text(self, lines: list[bytes]) -> tuple[bytes | memoryview, ...]:
         """The array the working file holds, in pieces: a view of the loaded lines, then ``lines``."""

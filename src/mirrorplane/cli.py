@@ -62,7 +62,7 @@ class Session:
         self.state_path = Path(state_path) if state_path is not None else None
         self._world = world
         # The mark of the world in the state file; None makes the next commit save.
-        self._saved = _mark(world) if world is not None else None
+        self._saved = world.mark() if world is not None else None
         self._lines: list[bytes] | None = None  # a save's encoded events, until the sidecar has them
 
     @property
@@ -78,7 +78,7 @@ class Session:
                     f"no state file at {self.state_path}; run 'init' first"
                 )
             self._world = World.load(self.state_path)
-            self._saved = _mark(self._world)
+            self._saved = self._world.mark()
         return self._world
 
     def replace(self, world: World) -> None:
@@ -90,12 +90,12 @@ class Session:
 
     def commit(self) -> None:
         """Save the world and append its new events to the sidecar, if it changed."""
-        if self.state_path is None or _mark(self.world) == self._saved:
+        if self.state_path is None or self.world.mark() == self._saved:
             return
         written, size = self._sidecar_events()
         self._lines = self.world.save(self.state_path)
         self._sync_audit_sidecar(written, size)
-        self._saved = _mark(self.world)
+        self._saved = self.world.mark()
 
     def _sidecar_events(self) -> tuple[int, int]:
         """Whole lines in the sidecar and their bytes, checked before either file is written."""
@@ -119,15 +119,6 @@ class Session:
         with open(self.audit_path, "ab", opener=_owner_only) as handle:
             handle.truncate(size)  # drops a torn last line left by a crash mid-append
             handle.writelines(self.world.audit.sidecar_lines(written, lines))
-
-
-def _mark(world: World) -> tuple[int, int, int]:
-    # Every change outside the clock and a tick emits an audit event, and every
-    # tick counts in ``ticks_run``: a world whose mark stands has not changed.
-    # The mark decodes no store (one never decoded cannot have changed) and
-    # counts no loaded event: it takes those emitted since the load.
-    reconciler = vars(world).get("reconciler")
-    return world.audit.emitted(), world.clock, reconciler.ticks_run if reconciler else 0
 
 
 def on_world(command):
@@ -167,7 +158,22 @@ def output_path(ctx: click.Context, param: click.Parameter, value: str | None) -
     return value
 
 
-@click.group()
+class _Command(click.Command):  # --help prints through echo: click's own print keeps a replaced stdout
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        def show(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+            if value and not ctx.resilient_parsing:
+                echo(ctx.get_help())
+                ctx.exit()
+        if option := super().get_help_option(ctx):
+            option.callback = show
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class, group_class = _Command, type
+
+
+@click.group(cls=_Group)
 @click.option(
     "--state",
     "state_path",

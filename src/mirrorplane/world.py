@@ -17,7 +17,7 @@ import tempfile
 import weakref
 from pathlib import Path
 
-from .audit import AuditLog
+from .audit import AuditLog, Category
 from .authz import AuthzEngine, TokenStore
 from .cloud import Cloud, NodeKind
 from .codec import compact_json, counter, decode, encode, parse_at
@@ -103,7 +103,8 @@ class World:
 
     Every world makes each store on first use, alone.  A loaded world, which
     keeps the UTF-8 working text of its file as bytes whatever the file's form,
-    decodes it then: a holder's stores are made when it takes them (``codec.Holder``).
+    decodes it then.  What a save encodes, and whether a command has a change to
+    save (``mark``), the world reads from its own events and stores alone.
 
     Nothing the world reaches refers back to it but weakly (the audit's clock,
     each holder), so it is freed as soon as its last reference goes, without
@@ -117,9 +118,9 @@ class World:
         world = weakref.proxy(self)
         self.audit = AuditLog(lambda: world.clock)
         self.secrets = secrets
-        # Each store's bytes as last read or written, as (bytes, start, stop): one not
-        # decoded yet, or an audited one, unless ``audit.mutated`` names it.
+        # A loaded world's stores as (bytes, start, stop): as last read, or written if audited.
         self._loaded = {name: (data, *spans[key]) for key, name in _NAMES.items()} if spans else {}
+        self._written = 0  # how many of the events since the load the last save wrote
 
     def __getattr__(self, name: str):
         # Runs only for an attribute not set: a store made on first use, and decoded if loaded.
@@ -130,14 +131,12 @@ class World:
         if name in self._loaded:
             with malformed(key):
                 store.load_state(parse_at(*self._loaded[name]))
-            if name not in _AUDITED:  # it may change without an event
-                del self._loaded[name]
         setattr(self, name, store)
         return store
 
     def decode(self) -> "World":
         """Decode every section now, so that a malformed one raises here."""
-        for name in list(self._loaded):
+        for name in self._loaded:
             getattr(self, name)
         self.audit.decoded()
         return self
@@ -187,26 +186,35 @@ class World:
     def save(self, path: str | Path) -> list[bytes]:
         """Write the working file; return the audit lines it encoded, for the sidecar.
 
-        A store not decoded, a directory, cloud or vault with no mutation since its
-        bytes were last read or written, and the loaded audit lines go back as views of them.
+        A store goes back as its bytes as last read or written, if the world was loaded, unless
+        it was decoded and either is not audited or is named by a mutation since the last save.
         """
         lines = self.audit.lines()
+        changed = {event.action.partition(".")[0] for event in self.audit.since_load()[self._written:]
+                   if event.category is Category.MUTATION} if self._loaded else ()
         pieces: list[bytes | memoryview] = []
         for key in _KEYS:
             name = _NAMES.get(key)
             pieces.append((f',\n"{key}":' if pieces else f'{{"{key}":').encode())
             if key == "audit":
                 pieces += self.audit.text(lines)
-            elif name in self._loaded and name not in self.audit.mutated:
+            elif name in self._loaded and (name not in vars(self) or name in _AUDITED and name not in changed):
                 data, start, stop = self._loaded[name]
                 pieces.append(memoryview(data)[start:stop])
             else:
                 pieces.append(compact_json(self._section(key)).encode())
-                if name in self._loaded:
+                if name in self._loaded and name in _AUDITED:  # a decoded small store is always encoded
                     self._loaded[name] = (pieces[-1], 0, len(pieces[-1]))
         write_atomic(path, *pieces, b"}\n")
-        self.audit.mutated.clear()
+        self._written = self.audit.emitted()
         return lines
+
+    def mark(self) -> tuple[int, int, int]:
+        """A mark that stands while nothing changes: it decodes no store and counts no loaded event.
+
+        Every change but a tick's and the clock's emits an event; every tick counts in ``ticks_run``.
+        """
+        return self.audit.emitted(), self.clock, getattr(vars(self).get("reconciler"), "ticks_run", 0)
 
     @classmethod
     def load(cls, path: str | Path) -> "World":

@@ -968,6 +968,58 @@ def test_a_tick_whose_only_vault_change_is_a_revocation_saves_it(walked):
     assert holds_the_world(walked)
 
 
+# A read and a change of each store of the loaded walkthrough world, each with the stores the next
+# save encodes: those decoded that are not audited, since they may change with no event, and
+# those a mutation since the last save names.
+READ_AND_CHANGE = {
+    "directory": (lambda w: w.directory.principals(), set(),
+                  lambda w: w.directory.add_group("g3"), {"directory"}),
+    "cloud": (lambda w: w.cloud.render_tree(), set(),
+              lambda w: w.cloud.set_quota(SAP, 50), {"cloud"}),
+    "vault": (lambda w: w.vault.read_key(POSTS_MIRROR, "posts-analyze"), set(),  # an audited read
+              lambda w: w.vault.store_key(POSTS_MIRROR, "posts-analyze", "0" * 32), {"vault"}),
+    "onboarder": (lambda w: w.onboarder.pair_for(POSTS_BUCKET), {"onboarder"},
+                  lambda w: provision_a_new_user(w),
+                  {"directory", "cloud", "vault", "reconciler", "onboarder"}),
+    "tokens": (lambda w: w.tokens.get("tok-000001"), {"tokens"},
+               lambda w: w.authz.authenticate("posts-analyze", POSTS_MIRROR), {"authz", "tokens"}),
+    "reconciler": (lambda w: w.reconciler.last_report, {"reconciler"},
+                   lambda w: w.reconciler.reconcile_tick(), {"reconciler"}),
+    "authz": (lambda w: w.authz, {"authz"},
+              lambda w: w.authz.submit_job("posts-analyze", POSTS_MIRROR, [POSTS_BUCKET],
+                                           [AccessAction.READ]), {"authz", "tokens"}),
+}
+
+
+@pytest.mark.parametrize("state", ["untouched", "read", "changed"])
+@pytest.mark.parametrize("store", READ_AND_CHANGE)
+def test_a_save_encodes_exactly_the_stores_the_rule_names(
+        walked_once, tmp_path, monkeypatch, store, state):
+    stores, encoded, real = {section: name for name, (section, _) in _STORES.items()}, set(), World._section
+
+    def section(world, key, *rest):
+        if key in stores:
+            encoded.add(stores[key])
+        return real(world, key, *rest)
+
+    monkeypatch.setattr(World, "_section", section)
+    world, path = World.load(walked_once), tmp_path / "world.json"
+    read, read_encodes, change, change_encodes = READ_AND_CHANGE[store]
+    if state != "untouched":
+        (read if state == "read" else change)(world)
+    world.save(path)
+    first = {"untouched": set(), "read": read_encodes, "changed": change_encodes}[state]
+    assert encoded == first
+    # A change to another audited store, saved in the same session: the first save's audited
+    # stores go back as it wrote them, and the decoded stores that are not audited are encoded again.
+    other = "cloud" if store == "directory" else "directory"
+    encoded.clear()
+    READ_AND_CHANGE[other][2](world)
+    world.save(path)
+    assert encoded == {other} | (first - {"directory", "cloud", "vault"})
+    assert World.load(path).export_text(reveal_secrets=True) == world.export_text(reveal_secrets=True)
+
+
 # -- every form of a state file decodes each store on first use ------------------------
 
 
@@ -1051,6 +1103,27 @@ def test_a_command_frees_the_streams_it_printed_to(walked, argv, code):
     freed = weakref.ref(out), weakref.ref(err)
     del out, err
     assert [ref() for ref in freed] == [None, None]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["clock", "--help"], ["clock", "show", "--help"]],
+                         ids=" ".join)
+def test_a_help_page_frees_the_stream_it_printed_to(walked, monkeypatch, argv):
+    made = []
+
+    class Buffer(io.StringIO):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "io", types.SimpleNamespace(StringIO=Buffer))
+    page, error = dispatch(Session(walked), argv)  # prints into a Buffer of its own
+    assert error is None and page.startswith("Usage: ")
+    out = Buffer()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == page
+    del out
+    assert len(made) == 2 and [ref() for ref in made] == [None, None]
 
 
 def test_a_scenario_frees_each_command_s_output_buffer(walked, tmp_path, monkeypatch, capsys):

@@ -283,6 +283,27 @@ def test_tick_aborts_cleanly_without_source_group():
     assert report.tick_id == 2
 
 
+def test_an_underscore_member_is_audited_as_rejected_every_tick(populated):
+    populated.directory.add_principal("ads_report", PrincipalKind.HEADLESS, None)
+    populated.directory.join_group(SOURCE_OF_TRUTH_GROUP, "ads_report")
+    for tick_id in (1, 2):
+        populated.reconciler.reconcile_tick()
+        events = populated.audit.query(tick_id=tick_id, action="reconcile")
+        assert [(e.action, e.target, e.outcome.value, e.category.value) for e in events] == [
+            ("reconcile.reject_underscore", "ads_report", "failure", "control")]
+
+
+def test_an_aborted_tick_is_audited_as_one_control_event():
+    world = World.new(seed=5)
+    for tick_id, reason in ((1, "GroupMissing"), (2, "GroupEmpty")):
+        if tick_id == 2:
+            world.directory.add_group(SOURCE_OF_TRUTH_GROUP)
+        assert world.reconciler.reconcile_tick().errors[0]["error"] == reason
+        events = world.audit.query(tick_id=tick_id)
+        assert [(e.action, e.target, e.outcome.value, e.category.value) for e in events] == [
+            ("reconcile.abort", SOURCE_OF_TRUTH_GROUP, "failure", "control")]
+
+
 def test_member_errors_do_not_abort_tick(populated):
     # Corrupt helen's would-be vault entry so her store fails mid-tick.
     populated.directory.add_principal("mallory", PrincipalKind.HUMAN, None)
