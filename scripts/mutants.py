@@ -380,11 +380,22 @@ MUTANTS = [
      "            if False:",
      "test_verify.py",
      "OwnershipViolation: a vault owner that is not the mirror's source is not reported"),
-    ("verify-no-backward-lifecycle", "verify.py",
-     "            if history != [state.value for state in KeyState if state.value in history]:",
+    ("verify-no-invalidating-event", "verify.py",
+     "            if (version.state is KeyState.INVALID) != (version.key_id in invalidated):",
      "            if False:",
      "test_verify.py",
-     "LifecycleViolation: a key history that runs backwards is not reported"),
+     "LifecycleViolation: a key invalid with no expire or revoke event, or set back from one, "
+     "is not reported"),
+    ("verify-revoke-not-invalidating", "verify.py",
+     '("vault.expire_key", "vault.revoke_key")',
+     '("vault.expire_key",)',
+     "test_verify.py",
+     "LifecycleViolation: a revoked key is taken as never invalidated"),
+    ("verify-no-active-retiring-since", "verify.py",
+     "            if version.state is KeyState.ACTIVE and version.retiring_since is not None:",
+     "            if False:",
+     "test_verify.py",
+     "LifecycleViolation: an active key with retiring_since set is not reported"),
     ("verify-no-secret-reuse", "verify.py",
      "                if first != version.key_id:",
      "                if False:",
@@ -430,6 +441,12 @@ MUTANTS = [
      "        if False:",
      "test_verify.py",
      "RotationViolation: an active key past rotation_age is not reported"),
+    # -- the paper's access rules
+    ("reader-group-any-role", "authz.py",
+     "            if binding.role is not Role.BUCKET_READER:\n                continue\n",
+     "",
+     "test_authz.py",
+     "a group bound to a bucket in any role makes its members readers of the bucket"),
     # -- error paths that only a hand-edited state file reaches
     ("authenticate-any-account", "authz.py",
      "            if not self._account_is_active(account_email):",

@@ -655,5 +655,5 @@ def main(argv: list[str] | None = None) -> int:
         echo(f"error: {exc.name}: {exc}", err=True)
         return 1
     except click.ClickException as exc:
-        exc.show()
+        exc.show(click.get_text_stream("stderr", errors=None))  # the stream echo finds
         return 1

@@ -68,13 +68,6 @@ class KeyVersion:
     state: KeyState
     created_at: int
     retiring_since: int | None = None
-    # Every state this version has been in, oldest first; lets the invariant
-    # checker prove transitions never ran backwards.
-    state_history: list[str] = field(default_factory=lambda: [KeyState.ACTIVE.value])
-
-    def _transition(self, new_state: KeyState) -> None:
-        self.state = new_state
-        self.state_history.append(new_state.value)
 
 
 @dataclass
@@ -170,7 +163,7 @@ class Vault(Holder):
             raise DuplicateId(f"key id {key_id!r} is already held; next_serial is stale")
         prior = entry.active_version()
         if prior is not None:
-            prior._transition(KeyState.RETIRING)
+            prior.state = KeyState.RETIRING
             prior.retiring_since = now
         version = KeyVersion(
             key_id=key_id,
@@ -196,7 +189,7 @@ class Vault(Holder):
                 # Fail closed: without retiring_since the grace window cannot be shown.
                 since = version.retiring_since
                 if version.state is KeyState.RETIRING and (since is None or now - since >= grace):
-                    version._transition(KeyState.INVALID)
+                    version.state = KeyState.INVALID
                     transitions.append(
                         (version.key_id, KeyState.RETIRING.value, KeyState.INVALID.value)
                     )
@@ -209,7 +202,7 @@ class Vault(Holder):
         count = 0
         for version in entry.versions:
             if version.state is not KeyState.INVALID:
-                version._transition(KeyState.INVALID)
+                version.state = KeyState.INVALID
                 count += 1
                 self._audit.mutation("vault.revoke_key", version.key_id)
         return count

@@ -185,6 +185,7 @@ def _check_lockdown(bound: list[Bound], out: list[Violation]) -> None:
 
 def _check_vault(world: World, out: list[Violation]) -> None:
     holders: dict[str, str] = {}  # secret -> the first key id holding it
+    invalidated = {e.target for e in world.audit if e.action in ("vault.expire_key", "vault.revoke_key")}
     for entry in world.vault.entries():
         active = [v for v in entry.versions if v.state is KeyState.ACTIVE]
         if len(active) > 1:
@@ -207,19 +208,12 @@ def _check_vault(world: World, out: list[Violation]) -> None:
                 out.append(Violation(
                     "OwnershipViolation", version.key_id, "version belongs to another entry",
                 ))
-            history = version.state_history
-            if history[-1:] != [version.state.value]:
-                out.append(Violation(
-                    "LifecycleViolation", version.key_id,
-                    "recorded history does not end at the current state",
-                ))
-            if history != [state.value for state in KeyState if state.value in history]:
-                out.append(Violation(
-                    "LifecycleViolation", version.key_id,
-                    f"transitions ran backwards: {version.state_history}",
-                ))
+            if (version.state is KeyState.INVALID) != (version.key_id in invalidated):
+                out.append(Violation("LifecycleViolation", version.key_id, "state disagrees with the audit"))
             if version.state is KeyState.RETIRING and version.retiring_since is None:
                 out.append(Violation("LifecycleViolation", version.key_id, "retiring_since unset"))
+            if version.state is KeyState.ACTIVE and version.retiring_since is not None:
+                out.append(Violation("LifecycleViolation", version.key_id, "retiring_since set"))
             if version.secret != REDACTED:  # an imported redacted export holds no secrets
                 first = holders.setdefault(version.secret, version.key_id)
                 if first != version.key_id:

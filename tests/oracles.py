@@ -25,6 +25,24 @@ def working_text(document: dict) -> str:
     return "{" + ",\n".join(f"{dump(key)}:{section(key)}" for key in sorted(document)) + "}\n"
 
 
+def export_with_histories(text: str) -> str:
+    """An export as files written before key versions dropped ``state_history`` held it.
+
+    Every version began active; it passed through retiring when ``retiring_since``
+    is set, and ended invalid when its state is, so the list is put back from
+    those two fields alone.
+    """
+    snap = json.loads(text)
+    for entry in snap["vault"]["entries"]:
+        for version in entry["versions"]:
+            version["state_history"] = (
+                ["active"]
+                + ["retiring"] * (version["retiring_since"] is not None)
+                + ["invalid"] * (version["state"] == "invalid")
+            )
+    return json.dumps(snap, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def _accounts(snap: dict) -> dict[str, dict]:
     return {a["email"]: a for a in snap["cloud"]["accounts"]}
 

@@ -9,7 +9,8 @@ from mirrorplane.errors import (
     PermissionDenied,
     UnknownBucket,
 )
-from mirrorplane.onboarder import ldap_reader_group
+from mirrorplane.cloud import Role, sa_principal
+from mirrorplane.onboarder import cloud_reader_group, ldap_reader_group
 
 from conftest import mirror
 
@@ -87,6 +88,18 @@ def test_reader_group_grants_read_only(provisioned):
     assert (read.decision, read.reason) == (Decision.ALLOW, DecisionReason.READER_GROUP)
     write = provisioned.authz.authorize(token, POSTS_BUCKET, AccessAction.WRITE)
     assert (write.decision, write.reason) == (Decision.DENY, DecisionReason.NOT_AUTHORIZED)
+
+
+def test_a_group_bound_in_another_role_grants_nothing(provisioned):
+    # Only a group's BucketReader binding makes its members readers of the bucket.
+    group = cloud_reader_group(POSTS_BUCKET)
+    provisioned.cloud.bind_role(HELEN_BUCKET, Role.BUCKET_WRITER, f"group:{group}")
+    provisioned.cloud.bind_role(group, Role.GROUP_MEMBER, sa_principal(POSTS_MIRROR))
+    token = provisioned.authz.authenticate("posts-analyze", POSTS_MIRROR)
+    for action in (AccessAction.READ, AccessAction.WRITE):
+        decision = provisioned.authz.authorize(token, HELEN_BUCKET, action)
+        assert (decision.decision, decision.reason) == (
+            Decision.DENY, DecisionReason.NOT_AUTHORIZED)
 
 
 def test_reader_membership_evaluated_at_decision_time(provisioned):

@@ -13,6 +13,7 @@ from mirrorplane.scenario import parse_script, run_script
 from mirrorplane.errors import ParseError
 from mirrorplane.world import World
 
+import oracles
 from conftest import reimport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -261,6 +262,18 @@ def test_golden_fixture_imports_clean_and_regenerates(statefile, tmp_path):
     assert main(["--state", str(fresh), "state", "export", "--reveal-secrets",
                  "-o", str(regenerated)]) == 0
     assert regenerated.read_bytes() == golden.read_bytes()
+
+
+def test_the_golden_fixture_is_the_v1_fixture_less_its_key_histories(statefile, tmp_path):
+    """Key versions no longer store ``state_history``; nothing else in the export moved."""
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    golden, v1 = fixtures / "partly-cloudy.json", fixtures / "partly-cloudy.v1.json"
+    assert oracles.export_with_histories(golden.read_text(encoding="utf-8")).encode() == (
+        v1.read_bytes())
+    assert run("state", "import", str(v1)) == 0
+    exported = tmp_path / "exported.json"
+    assert run("state", "export", "--reveal-secrets", "-o", str(exported)) == 0
+    assert exported.read_bytes() == golden.read_bytes()
 
 
 def test_dispatch_reuses_in_memory_session():
@@ -622,15 +635,17 @@ def test_verify_reports_a_held_key_id_beyond_the_next(walked, tmp_path, capsys):
         assert entry["next_serial"] == 2
         entry["versions"].insert(0, dict(
             entry["versions"][0], key_id=f"{POSTS_MIRROR}#v3", secret="f" * 32,
-            state="invalid", state_history=["active", "retiring", "invalid"], retiring_since=0,
+            state="invalid", retiring_since=0,
         ))
 
     assert reimport(tmp_path, plant) == 0
     capsys.readouterr()
     assert run("verify") == 2
+    # No vault.expire_key or vault.revoke_key event invalidated the planted #v3.
     assert capsys.readouterr().out == (
         f"IdReuseViolation [{POSTS_MIRROR}]: key id '{POSTS_MIRROR}#v3' is already held "
         "(next_serial is 2)\n"
+        f"LifecycleViolation [{POSTS_MIRROR}#v3]: state disagrees with the audit\n"
     )
 
 

@@ -1105,6 +1105,18 @@ def test_a_command_frees_the_streams_it_printed_to(walked, argv, code):
     assert [ref() for ref in freed] == [None, None]
 
 
+def test_a_group_named_without_a_command_frees_the_stream_it_printed_to(walked):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["dir"]) == 1  # prints the group's help page as an error
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["dir", "--help"]) == 0
+    assert err.getvalue() == out.getvalue() and err.getvalue().startswith("Usage: ")
+    freed = weakref.ref(err)
+    del err
+    assert freed() is None
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["clock", "--help"], ["clock", "show", "--help"]],
                          ids=" ".join)
 def test_a_help_page_frees_the_stream_it_printed_to(walked, monkeypatch, argv):

@@ -238,7 +238,8 @@ def test_vault_lifecycle_stays_monotone(actions):
     world.directory.add_principal("owner", PrincipalKind.HEADLESS, None)
     email = "owner-mirror@service-accounts-project.iam.gserviceaccount.com"
     secrets = SecretSource(seed=3)
-    order = [s.value for s in (KeyState.ACTIVE, KeyState.RETIRING, KeyState.INVALID)]
+    order = [KeyState.ACTIVE, KeyState.RETIRING, KeyState.INVALID]
+    reached: dict[str, int] = {}  # each version's furthest state so far, as its index in order
     world.vault.store_key(email, "owner", secrets.next_secret())
     for op, arg in actions:
         if op == "store":
@@ -252,8 +253,9 @@ def test_vault_lifecycle_stays_monotone(actions):
         entry = world.vault.entry(email)
         assert sum(v.state is KeyState.ACTIVE for v in entry.versions) <= 1
         for version in entry.versions:
-            indices = [order.index(state) for state in version.state_history]
-            assert indices == sorted(indices) and len(set(indices)) == len(indices)
+            index = order.index(version.state)
+            assert index >= reached.get(version.key_id, 0)
+            reached[version.key_id] = index
 
 
 @settings(max_examples=80, deadline=None)

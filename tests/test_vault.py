@@ -39,6 +39,13 @@ def test_store_fresh_key(populated, vault):
     assert vault.entry(HELEN_MIRROR).owner_principal == "helen"
 
 
+def test_find_version_knows_only_held_key_ids(populated, vault):
+    version = vault.store_key(HELEN_MIRROR, "helen", "aa" * 16)
+    assert vault.find_version(f"{HELEN_MIRROR}#v1") is version
+    assert vault.find_version(f"{HELEN_MIRROR}#v2") is None
+    assert vault.find_version(f"{mirror('ghost')}#v1") is None  # no entry for its email
+
+
 def test_store_rotates_prior_active_to_retiring(populated, vault):
     first = vault.store_key(HELEN_MIRROR, "helen", "aa" * 16)
     populated.advance(5)
@@ -143,15 +150,24 @@ def test_secret_bytes_never_change(populated, vault):
 
 
 def test_lifecycle_histories_are_monotone(populated, vault):
-    order = ["active", "retiring", "invalid"]
-    vault.store_key(HELEN_MIRROR, "helen", "aa" * 16)
-    vault.store_key(HELEN_MIRROR, "helen", "bb" * 16)
-    vault.expire_versions(now=10 ** 6, grace=1)
-    vault.revoke_all(HELEN_MIRROR)
-    for version in vault.entry(HELEN_MIRROR).versions:
-        indices = [order.index(state) for state in version.state_history]
+    order = [KeyState.ACTIVE, KeyState.RETIRING, KeyState.INVALID]
+    histories: dict[str, list[KeyState]] = {}  # each version's state after every step
+    for step in (
+        lambda: vault.store_key(HELEN_MIRROR, "helen", "aa" * 16),
+        lambda: vault.store_key(HELEN_MIRROR, "helen", "bb" * 16),
+        lambda: vault.expire_versions(now=10 ** 6, grace=1),
+        lambda: vault.revoke_all(HELEN_MIRROR),
+    ):
+        step()
+        for version in vault.entry(HELEN_MIRROR).versions:
+            histories.setdefault(version.key_id, []).append(version.state)
+    for history in histories.values():
+        indices = [order.index(state) for state in history]
         assert indices == sorted(indices)
-        assert len(set(indices)) == len(indices)
+    assert {key: list(dict.fromkeys(h)) for key, h in histories.items()} == {
+        f"{HELEN_MIRROR}#v1": [KeyState.ACTIVE, KeyState.RETIRING, KeyState.INVALID],
+        f"{HELEN_MIRROR}#v2": [KeyState.ACTIVE, KeyState.INVALID],
+    }
 
 
 def test_versions_share_owner(populated, vault):

@@ -94,12 +94,27 @@ def test_two_active_key_versions_is_caught(converged):
 
 
 def test_backwards_lifecycle_is_caught(converged):
-    def edit(data):
-        version = data["vault"]["entries"][0]["versions"][0]
-        version["state_history"] = ["active", "retiring", "active"]
+    converged.advance(converged.config.rotation_age)
+    converged.reconciler.reconcile_tick()  # each v1 starts retiring, each v2 is active
+    converged.advance(converged.config.retiring_grace)
+    converged.directory.leave_group(SOURCE_OF_TRUTH_GROUP, "posts-analyze")
+    converged.reconciler.reconcile_tick()  # posts-analyze's keys are revoked, then helen's v1 expires
 
-    violations = verify_world(corrupt(converged, edit))
-    assert "LifecycleViolation" in rules(violations)
+    def expired_to_active(data):
+        data["vault"]["entries"][0]["versions"][1]["state"] = "active"
+
+    def revoked_to_active(data):
+        data["vault"]["entries"][1]["versions"][0]["state"] = "active"
+
+    helen, posts = mirror("helen"), mirror("posts-analyze")
+    assert [v.render() for v in verify_world(corrupt(converged, expired_to_active))] == [
+        f"SingleActiveViolation [{helen}]: 2 active versions",
+        f"LifecycleViolation [{helen}#v1]: state disagrees with the audit",
+        f"LifecycleViolation [{helen}#v1]: retiring_since set",
+    ]
+    assert [v.render() for v in verify_world(corrupt(converged, revoked_to_active))] == [
+        f"LifecycleViolation [{posts}#v2]: state disagrees with the audit",
+    ]
 
 
 def test_vault_owner_drift_is_caught(converged):
@@ -342,21 +357,22 @@ def test_version_of_another_entry_is_caught(converged):
 
 
 def test_history_not_ending_at_current_state_is_caught(converged):
+    # An invalid version that no vault.expire_key or vault.revoke_key event names.
     def edit(data):
-        data["vault"]["entries"][0]["versions"][0]["state_history"] = ["active", "retiring"]
+        data["vault"]["entries"][0]["versions"][0]["state"] = "invalid"
 
-    assert found(verify_world(corrupt(converged, edit))) == [
-        ("LifecycleViolation", mirror("helen") + "#v1"),
+    assert [v.render() for v in verify_world(corrupt(converged, edit))] == [
+        f"LifecycleViolation [{mirror('helen')}#v1]: state disagrees with the audit",
     ]
 
 
 def test_empty_state_history_is_caught(converged):
+    # An active version with retiring_since set.
     def edit(data):
-        data["vault"]["entries"][0]["versions"][0]["state_history"] = []
+        data["vault"]["entries"][0]["versions"][0]["retiring_since"] = 0
 
     assert [v.render() for v in verify_world(corrupt(converged, edit))] == [
-        f"LifecycleViolation [{mirror('helen')}#v1]: "
-        "recorded history does not end at the current state",
+        f"LifecycleViolation [{mirror('helen')}#v1]: retiring_since set",
     ]
 
 

@@ -30,6 +30,13 @@ def test_export_import_export_is_byte_identical():
     assert first == second
 
 
+def test_a_name_that_is_not_a_store_is_no_attribute_of_a_world():
+    world = World.new(seed=1)
+    with pytest.raises(AttributeError, match="'World' object has no attribute 'vaults'"):
+        world.vaults
+    assert not hasattr(world, "vaults") and "vaults" not in vars(world)
+
+
 def test_redacted_export_round_trips_too():
     world = build_world()
     redacted = world.export_text(reveal_secrets=False)
